@@ -25,16 +25,30 @@ the level-0 fingerprints of all repetitions (level 0 retains every slot).
 
 Exactness
 ---------
-All accumulation is integer-exact: counts and id-sums use int64 (valid
-whenever ``total_incidences * n^2 < 2^62``, enforced by
-:class:`SketchSpec`), and mod-p fingerprint accumulation splits values
-into 30-bit halves so intermediate sums never overflow.  The segment
-reductions run through :mod:`repro.sketch.kernels` — ``np.bincount`` on
-the 30-bit halves (bit-exact in float64 below the 2^53 horizon, with an
-automatic ``np.add.at`` fallback above it) and sort + ``reduceat`` for
-row aggregation — which return the same integers the original
-``np.add.at`` scatters produced, only an order of magnitude faster
-(DESIGN.md §9).
+All accumulation is integer-exact in int64.  :meth:`SketchSpec.for_graph`
+checks only ``n <= 2^20``, so slot ids fit in 40 bits; the accumulators
+are exact as long as every final bin value stays below ``2^63`` in
+magnitude (intermediate wraparound of the int64 sums cancels), which for
+id-sums means fewer than ``2^63 / n^2 >= 2^23`` same-sign incidences per
+bin and for the 30-bit fingerprint halves fewer than ``2^32``.  Neither
+bound is checked at run time.
+
+Fingerprints are accumulated split into 30-bit halves, ``f === lo +
+hi * 2^30 (mod p)``, and are *kept* that way: :class:`SketchBundle`
+stores the exact signed int64 pair, :meth:`SketchBundle.aggregate` and
+:meth:`SketchBundle.add` sum the halves directly, and the canonical
+mod-p value is formed only at read — level 0 in
+:meth:`SketchBundle.nonzero_mask`, the ``|count| == 1`` candidates in
+:meth:`SketchBundle.sample`, and the materializing
+:attr:`SketchBundle.fps`.  Reduction mod p commutes with integer sums, so
+reading late yields the bytes eager reduction did (DESIGN.md §9.1).
+
+The segment reductions run through :mod:`repro.sketch.kernels` —
+``np.bincount`` on the 30-bit halves (bit-exact in float64 below the 2^53
+horizon, with an automatic ``np.add.at`` fallback above it) and sort +
+``reduceat`` for row aggregation — which return the same integers the
+original ``np.add.at`` scatters produced, only an order of magnitude
+faster (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -180,19 +194,54 @@ class SketchSpec:
         return r
 
 
-@dataclass
 class SketchBundle:
     """Sketches of ``G`` groups: triples of shape ``(G, R, L)``.
 
     Supports the two linear operations the algorithms need: entrywise
     addition (:meth:`add`) and regrouping (:meth:`aggregate`), plus the
     query operations :meth:`sample` and :meth:`nonzero_mask`.
+
+    Fingerprints live unreduced as the exact signed int64 halves
+    ``fps_lo``/``fps_hi`` (``f === fps_lo + fps_hi * 2^30 mod p``); only
+    the bins a query reads are reduced (module docstring, "Exactness").
+    ``SketchBundle(spec, counts, sums, fps)`` takes canonical ``fps`` in
+    ``[0, p)`` and splits them into such a pair.  ``powers`` is the
+    ``(2R, n)`` table of the context that built the bundle (``None``:
+    :meth:`sample` verifies by direct powmod instead).
     """
 
-    spec: SketchSpec
-    counts: np.ndarray  # int64 (G, R, L)
-    sums: np.ndarray  # int64 (G, R, L), exact signed slot-id sums
-    fps: np.ndarray  # uint64 (G, R, L), values in [0, p)
+    def __init__(
+        self, spec: SketchSpec, counts: np.ndarray, sums: np.ndarray, fps: np.ndarray
+    ) -> None:
+        f = np.asarray(fps, dtype=np.uint64).astype(np.int64)  # < p < 2^63
+        self._set(spec, counts, sums, f & _LOW30, f >> np.int64(30), None)
+
+    @classmethod
+    def _from_halves(
+        cls,
+        spec: SketchSpec,
+        counts: np.ndarray,
+        sums: np.ndarray,
+        fps_lo: np.ndarray,
+        fps_hi: np.ndarray,
+        powers: np.ndarray | None,
+    ) -> "SketchBundle":
+        bundle = cls.__new__(cls)
+        bundle._set(spec, counts, sums, fps_lo, fps_hi, powers)
+        return bundle
+
+    def _set(self, spec, counts, sums, fps_lo, fps_hi, powers) -> None:
+        self.spec = spec
+        self.counts = counts  # int64 (G, R, L)
+        self.sums = sums  # int64 (G, R, L), exact signed slot-id sums
+        self.fps_lo = fps_lo  # int64 (G, R, L), exact low-half accumulators
+        self.fps_hi = fps_hi  # int64 (G, R, L), exact high-half accumulators
+        self.powers = powers  # uint64 (2R, n) power table, or None
+
+    @property
+    def fps(self) -> np.ndarray:
+        """Canonical fingerprints, uint64 ``(G, R, L)`` in ``[0, p)``."""
+        return _combine_halves(self.fps_lo, self.fps_hi)
 
     @property
     def n_groups(self) -> int:
@@ -205,11 +254,13 @@ class SketchBundle:
             raise ValueError("cannot add sketches with different specs")
         if other.counts.shape != self.counts.shape:
             raise ValueError("group shapes differ")
-        return SketchBundle(
-            spec=self.spec,
-            counts=self.counts + other.counts,
-            sums=self.sums + other.sums,
-            fps=addmod(self.fps, other.fps),
+        return SketchBundle._from_halves(
+            self.spec,
+            self.counts + other.counts,
+            self.sums + other.sums,
+            self.fps_lo + other.fps_lo,
+            self.fps_hi + other.fps_hi,
+            self.powers if self.powers is not None else other.powers,
         )
 
     def aggregate(self, group_map: np.ndarray, n_out: int) -> "SketchBundle":
@@ -221,16 +272,18 @@ class SketchBundle:
         gm = np.asarray(group_map, dtype=np.int64)
         if gm.shape != (self.n_groups,):
             raise ValueError("group_map must have one entry per group")
-        # The summed rows hold already-accumulated (unbounded) values, so
-        # this reduction stays in int64 end to end: sort + reduceat over
-        # the leading axis (exactly np.add.at's integers, vectorized).
-        counts = group_rows(self.counts, gm, n_out)
-        sums = group_rows(self.sums, gm, n_out)
-        # Fingerprints: 30-bit-split exact mod-p accumulation.
-        f_i = self.fps.astype(np.int64)
-        lo = group_rows(f_i & _LOW30, gm, n_out)
-        hi = group_rows(f_i >> np.int64(30), gm, n_out)
-        return SketchBundle(self.spec, counts, sums, _combine_halves(lo, hi))
+        _check_group_ids(gm, n_out, "group_map")
+        # Every field is an exact int64 accumulator (fingerprints as their
+        # unreduced halves), so regrouping is plain integer row sums: sort
+        # + reduceat over the leading axis (np.add.at's integers, vectorized).
+        return SketchBundle._from_halves(
+            self.spec,
+            group_rows(self.counts, gm, n_out),
+            group_rows(self.sums, gm, n_out),
+            group_rows(self.fps_lo, gm, n_out),
+            group_rows(self.fps_hi, gm, n_out),
+            self.powers,
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -242,7 +295,8 @@ class SketchBundle:
         'zero' requires all R level-0 fingerprints of a nonzero polynomial
         to vanish simultaneously.
         """
-        return np.any(self.fps[:, :, 0] != 0, axis=1)
+        level0 = _combine_halves(self.fps_lo[:, :, 0], self.fps_hi[:, :, 0])
+        return np.any(level0 != 0, axis=1)
 
     def sample(self) -> "SampleResult":
         """Recover one surviving slot per group where possible.
@@ -254,28 +308,23 @@ class SketchBundle:
         """
         g, r, l = self.counts.shape
         c = self.counts
-        cand = np.abs(c) == 1
-        slots_all = self.sums * c  # c in {-1,+1} on candidate cells
-        n2 = np.int64(self.spec.n) * np.int64(self.spec.n)
-        cand &= (slots_all >= 0) & (slots_all < n2)
         found = np.zeros(g, dtype=bool)
         out_slot = np.full(g, -1, dtype=np.int64)
         out_sign = np.zeros(g, dtype=np.int64)
-        if not cand.any():
-            return SampleResult(found, out_slot, out_sign)
-        gi, ri, li = np.nonzero(cand)
-        slots = slots_all[gi, ri, li].astype(np.uint64)
+        gi, ri, li = np.nonzero((c == 1) | (c == -1))
         signs = c[gi, ri, li]
-        fps = self.fps[gi, ri, li]
-        # Verify fingerprints for all candidates in one batched powmod:
-        # the base differs per repetition, so gather each candidate's base
-        # by its repetition index (powmod is elementwise, so this computes
-        # the same values the per-repetition loop did).
-        bits = max_slot_bits(self.spec.n)
-        bases = np.array(
-            [self.spec.fingerprint_base(rep) for rep in range(r)], dtype=np.uint64
-        )
-        expected = powmod(bases[ri], slots, max_exp_bits=bits)
+        slots = self.sums[gi, ri, li] * signs  # slot = c * s on candidate cells
+        n2 = np.int64(self.spec.n) * np.int64(self.spec.n)
+        inside = np.flatnonzero((slots >= 0) & (slots < n2))
+        gi, ri, li, slots, signs = (a[inside] for a in (gi, ri, li, slots, signs))
+        if gi.size == 0:
+            return SampleResult(found, out_slot, out_sign)
+        slots = slots.astype(np.uint64)
+        # Verify every candidate in one batch: reduce just its fingerprint
+        # bin, and read r^slot from the context's power table (or direct
+        # powmod for a bundle without one).
+        fps = _combine_halves(self.fps_lo[gi, ri, li], self.fps_hi[gi, ri, li])
+        expected = _slot_powers(self.spec, self.powers, ri, slots)
         neg = signs < 0
         exp_signed = expected.copy()
         exp_signed[neg] = (_P - expected[neg]) % _P
@@ -294,6 +343,15 @@ class SketchBundle:
         out_slot[gi[pick]] = slots[pick].astype(np.int64)
         out_sign[gi[pick]] = signs[pick]
         return SampleResult(found, out_slot, out_sign)
+
+
+def _check_group_ids(ids: np.ndarray, n: int, name: str) -> None:
+    """Reject group ids outside ``[0, n)`` (they would wrap or corrupt rows)."""
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n):
+        raise ValueError(
+            f"{name} entries must lie in [0, {n}), got range "
+            f"[{int(ids.min())}, {int(ids.max())}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -355,7 +413,8 @@ class SketchContext:
         # randomness (coefficients / PRF keys) is derived exactly as the
         # per-rep loop did, only the field arithmetic is 2-D.
         seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(r)]
-        powers = self._power_kernel(eval_slots.size)
+        self.powers = self._power_table(eval_slots.size)
+        reps = np.arange(r, dtype=np.int64)[:, None]
 
         def per_slot(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             h = batch_values(seeds, bits + 4, spec.hash_family, chunk)
@@ -365,7 +424,8 @@ class SketchContext:
             # independent of L, replacing the per-level searchsorted of
             # the per-repetition loop.
             gt = _count_levels_above(h, l)
-            return np.clip(gt - 1, 0, l - 1), powers(chunk)
+            fp = _slot_powers(spec, self.powers, reps, chunk[None, :])
+            return np.clip(gt - 1, 0, l - 1), fp
 
         pool = active_pool()
         if pool is None or eval_slots.size < MIN_SHARD_ITEMS:
@@ -385,50 +445,35 @@ class SketchContext:
         self.depths = depths
         self.fp_contrib = fp
 
-    def _power_kernel(self, total_slots: int):
-        """A ``chunk -> r^slot mod p`` kernel sized for ``total_slots``.
+    def _power_table(self, total_slots: int) -> np.ndarray | None:
+        """The ``(2R, n)`` table ``[r^j; (r^n)^j]`` for ``total_slots``, or None.
 
         ``slot = x*n + y`` with ``x, y < n`` gives
-        ``r^slot = (r^n)^x * r^y``.  Each ``r^n`` comes from a scalar-
-        exponent square-and-multiply on the R bases at once; both tables
+        ``r^slot = (r^n)^x * r^y`` (:func:`_slot_powers`).  Each ``r^n``
+        comes from a scalar-exponent modpow on the R bases; both tables
         (base rows and base^n rows) then build in a *single* stacked
         doubling pass — O(R * n) mulmods over O(log n) vectorized passes
-        instead of O(R * E log n) powmods, with the per-call overhead of
-        one table construction rather than 2R.
+        instead of O(R * E log n) powmods.  Bundles built by
+        :meth:`group_sums` carry the table on, so :meth:`SketchBundle.sample`
+        verifies its candidates with one gather and one mulmod each.
 
-        Small slot sets (the pruned late-phase frontier) skip the tables:
-        below roughly ``E * log(n^2) < 2n`` element-multiplications the
-        direct batched square-and-multiply is cheaper than building a
-        table it would barely read.  Both paths compute the canonical
-        representative of the same field element ``r^slot mod p``, so the
-        choice is invisible in the output bytes (pinned by the sketch
-        exactness suites).  The path decision and any table build happen
-        once here, on the *total* size; the returned closure is what the
-        shard workers call per chunk.
+        Small slot sets (the pruned late-phase frontier) skip the table
+        (``None``): below roughly ``E * log(n^2) < 2n`` element-
+        multiplications the direct batched square-and-multiply is cheaper
+        than building a table it would barely read.  Both paths compute
+        the canonical representative of the same field element
+        ``r^slot mod p``, so the choice is invisible in the output bytes
+        (pinned by the sketch exactness suites).  The decision is made once
+        here, on the *total* size, and shared by every shard chunk.
         """
         n = self.spec.n
-        r = self.spec.repetitions
-        bits = max_slot_bits(self.spec.n)
-        bases = np.array(
-            [self.spec.fingerprint_base(rep) for rep in range(r)], dtype=np.uint64
-        )
-        if total_slots * 2 * bits < 2 * n:
-            return lambda slots: powmod(bases[:, None], slots[None, :], max_exp_bits=bits)
+        if total_slots * 2 * max_slot_bits(n) < 2 * n:
+            return None
+        bases = _fingerprint_bases(self.spec)
         # r^n per base via Python bigint modpow: at R elements the numpy
         # square-and-multiply loop is pure dispatch overhead.
         r_n = np.array([pow(int(b), n, MERSENNE_P) for b in bases], dtype=np.uint64)
-        table = _power_table(np.concatenate([bases, r_n]), n)  # (2R, n)
-
-        def from_table(slots: np.ndarray) -> np.ndarray:
-            x = (slots // np.uint64(n)).astype(np.int64)
-            y = (slots % np.uint64(n)).astype(np.int64)
-            return mulmod(table[r:, x], table[:r, y])
-
-        return from_table
-
-    def _slot_powers(self, slots: np.ndarray) -> np.ndarray:
-        """r^slot mod p per (repetition, slot) — see :meth:`_power_kernel`."""
-        return self._power_kernel(slots.size)(slots)
+        return _power_table(np.concatenate([bases, r_n]), n)
 
     @property
     def n_incidences(self) -> int:
@@ -450,6 +495,7 @@ class SketchContext:
         gi = np.asarray(group_idx, dtype=np.int64)
         if gi.shape != self.slots.shape:
             raise ValueError("group_idx must have one entry per incidence")
+        _check_group_ids(gi, n_groups, "group_idx")
         r, l = self.spec.repetitions, self.spec.levels
         if mask is None:
             g_sel, sign_sel, slots_sel = gi, self.signs, self.slots
@@ -505,8 +551,8 @@ class SketchContext:
             # id-sums, and the 30-bit fingerprint halves), so summing the
             # partials in chunk order reproduces the unchunked scatter
             # byte for byte — integer addition is associative; the
-            # canonical mod-p reduction happens once below, after the
-            # merge, exactly as in the serial path.
+            # canonical mod-p reduction waits for the bins a query reads,
+            # exactly as in the serial path.
             parts = pool.map_ranges(
                 lambda lo, hi: scatter_chunk(
                     g_sel[lo:hi], sign_sel[lo:hi], slots_sel[lo:hi], d[:, lo:hi], f[:, lo:hi]
@@ -524,7 +570,33 @@ class SketchContext:
         sums = np.flip(np.cumsum(np.flip(sums, axis=2), axis=2), axis=2)
         fps_lo = np.flip(np.cumsum(np.flip(fps_lo, axis=2), axis=2), axis=2)
         fps_hi = np.flip(np.cumsum(np.flip(fps_hi, axis=2), axis=2), axis=2)
-        return SketchBundle(self.spec, counts, sums, _combine_halves(fps_lo, fps_hi))
+        return SketchBundle._from_halves(self.spec, counts, sums, fps_lo, fps_hi, self.powers)
+
+
+def _fingerprint_bases(spec: SketchSpec) -> np.ndarray:
+    """The R fingerprint bases ``r`` of ``spec`` as ``uint64[R]``."""
+    return np.array(
+        [spec.fingerprint_base(rep) for rep in range(spec.repetitions)], dtype=np.uint64
+    )
+
+
+def _slot_powers(
+    spec: SketchSpec, powers: np.ndarray | None, reps: np.ndarray, slots: np.ndarray
+) -> np.ndarray:
+    """``r_rep^slot mod p``, elementwise over broadcast ``reps`` and ``slots``.
+
+    With the ``(2R, n)`` table of :meth:`SketchContext._power_table`,
+    ``slot = x*n + y`` reads ``(r^n)^x`` and ``r^y`` and multiplies them
+    once; without one (``None``) it is a direct batched powmod.  Both give
+    the canonical representative of the same field element.
+    """
+    if powers is None:
+        bits = max_slot_bits(spec.n)
+        return powmod(_fingerprint_bases(spec)[reps], slots, max_exp_bits=bits)
+    n = np.uint64(spec.n)
+    x = (slots // n).astype(np.int64)
+    y = (slots % n).astype(np.int64)
+    return mulmod(powers[reps + spec.repetitions, x], powers[reps, y])
 
 
 def _power_table(bases: np.ndarray, size: int) -> np.ndarray:

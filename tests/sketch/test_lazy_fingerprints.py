@@ -1,0 +1,268 @@
+"""Property suite: lazy fingerprint reduction is byte-invisible.
+
+:class:`SketchBundle` keeps fingerprints as exact signed 30-bit-half int64
+accumulators and reduces mod p only at the bins a query reads; ``sample``
+verifies candidates from the context's power table instead of a fresh
+powmod.  Reduction mod p commutes with the integer sums, so every query
+must return exactly what the eager implementation did.  The eager
+``nonzero_mask``/``sample`` live on here, verbatim, as the oracle: they
+read canonical ``fps`` and verify with ``powmod``.  Hypothesis drives the
+family / seed / incidence-layout / mask axes; any counterexample is a hole
+in the commuting-sums argument, not noise.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sketch.edgespace import max_slot_bits
+from repro.sketch.field import MERSENNE_P, powmod
+from repro.sketch.l0 import SampleResult, SketchBundle, SketchContext, SketchSpec
+from repro.util.parallel import MIN_SHARD_ITEMS, ShardPool, sharded
+
+_P = np.uint64(MERSENNE_P)
+
+
+# --------------------------------------------------------------------------
+# Eager oracle (the pre-lazy query path, verbatim over canonical fps)
+# --------------------------------------------------------------------------
+
+
+def _eager_nonzero_mask(bundle: SketchBundle) -> np.ndarray:
+    return np.any(bundle.fps[:, :, 0] != 0, axis=1)
+
+
+def _eager_sample(bundle: SketchBundle) -> SampleResult:
+    g, r, l = bundle.counts.shape
+    c = bundle.counts
+    cand = np.abs(c) == 1
+    slots_all = bundle.sums * c  # c in {-1,+1} on candidate cells
+    n2 = np.int64(bundle.spec.n) * np.int64(bundle.spec.n)
+    cand &= (slots_all >= 0) & (slots_all < n2)
+    found = np.zeros(g, dtype=bool)
+    out_slot = np.full(g, -1, dtype=np.int64)
+    out_sign = np.zeros(g, dtype=np.int64)
+    if not cand.any():
+        return SampleResult(found, out_slot, out_sign)
+    gi, ri, li = np.nonzero(cand)
+    slots = slots_all[gi, ri, li].astype(np.uint64)
+    signs = c[gi, ri, li]
+    fps = bundle.fps[gi, ri, li]
+    bits = max_slot_bits(bundle.spec.n)
+    bases = np.array(
+        [bundle.spec.fingerprint_base(rep) for rep in range(r)], dtype=np.uint64
+    )
+    expected = powmod(bases[ri], slots, max_exp_bits=bits)
+    neg = signs < 0
+    exp_signed = expected.copy()
+    exp_signed[neg] = (_P - expected[neg]) % _P
+    ok = fps == exp_signed
+    if not ok.any():
+        return SampleResult(found, out_slot, out_sign)
+    gi, ri, li, slots, signs = gi[ok], ri[ok], li[ok], slots[ok], signs[ok]
+    order = np.lexsort(((l - 1 - li), ri, gi))
+    gi_o = gi[order]
+    first = np.ones(gi_o.size, dtype=bool)
+    first[1:] = gi_o[1:] != gi_o[:-1]
+    pick = order[first]
+    found[gi[pick]] = True
+    out_slot[gi[pick]] = slots[pick].astype(np.int64)
+    out_sign[gi[pick]] = signs[pick]
+    return SampleResult(found, out_slot, out_sign)
+
+
+def _bigint_fps(ctx: SketchContext, gi, n_groups: int, mask=None) -> np.ndarray:
+    """Canonical fingerprints by Python-int accumulation, one bin at a time."""
+    spec = ctx.spec
+    r, l = spec.repetitions, spec.levels
+    out = [[[0] * l for _ in range(r)] for _ in range(n_groups)]
+    for i in range(ctx.n_incidences):
+        if mask is not None and not mask[i]:
+            continue
+        slot, sign = int(ctx.slots[i]), int(ctx.signs[i])
+        for rep in range(r):
+            term = sign * pow(spec.fingerprint_base(rep), slot, MERSENNE_P)
+            for lev in range(int(ctx.depths[rep, i]) + 1):
+                out[int(gi[i])][rep][lev] += term
+    return np.array(
+        [[[v % MERSENNE_P for v in row] for row in rep] for rep in out], dtype=np.uint64
+    ).reshape(n_groups, r, l)
+
+
+def _assert_queries_match_eager(bundle: SketchBundle) -> None:
+    """Lazy queries == eager oracle; the four-argument rebuild agrees too."""
+    fps = bundle.fps
+    assert fps.dtype == np.uint64 and (fps < _P).all()
+    want_mask = _eager_nonzero_mask(bundle)
+    want = _eager_sample(bundle)
+    rebuilt = SketchBundle(bundle.spec, bundle.counts, bundle.sums, fps)
+    assert rebuilt.powers is None  # a hand-built bundle verifies directly
+    for b in (bundle, rebuilt):
+        assert b.fps.tobytes() == fps.tobytes()
+        assert b.nonzero_mask().tobytes() == want_mask.tobytes()
+        got = b.sample()
+        assert got.found.tobytes() == want.found.tobytes()
+        assert got.slots.tobytes() == want.slots.tobytes()
+        assert got.signs.tobytes() == want.signs.tobytes()
+
+
+def _incidences(rng: np.random.Generator, n: int, m: int, mirrored: bool):
+    u = rng.integers(0, n, size=m)
+    v = rng.integers(0, n, size=m)
+    if mirrored:
+        # The cluster layout: concat(u, v) owners against concat(v, u).
+        owners, others = np.concatenate([u, v]), np.concatenate([v, u])
+        signs = np.where(owners < others, 1, -1).astype(np.int64)
+    else:
+        owners, others = u, v
+        signs = rng.choice([-1, 1], size=m).astype(np.int64)
+    lo, hi = np.minimum(owners, others), np.maximum(owners, others)
+    return (lo * n + hi).astype(np.uint64), signs
+
+
+# --------------------------------------------------------------------------
+# Properties
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 1 << 30),
+    family=st.sampled_from(["polynomial", "prf"]),
+    n=st.integers(2, 96),
+    m=st.integers(0, 48),
+    mirrored=st.booleans(),
+    n_groups=st.integers(1, 6),
+    masked=st.booleans(),
+)
+def test_lazy_queries_match_eager(seed, family, n, m, mirrored, n_groups, masked):
+    rng = np.random.default_rng(seed)
+    slots, signs = _incidences(rng, n, m, mirrored)
+    spec = SketchSpec.for_graph(n, seed=seed, repetitions=3, hash_family=family)
+    ctx = SketchContext(spec, slots, signs)
+    gi = rng.integers(0, n_groups, size=slots.size).astype(np.int64)
+    mask = rng.random(slots.size) < 0.7 if masked else None
+
+    bundle = ctx.group_sums(gi, n_groups, mask=mask)
+    assert bundle.powers is ctx.powers
+    assert bundle.fps.tobytes() == _bigint_fps(ctx, gi, n_groups, mask).tobytes()
+    _assert_queries_match_eager(bundle)
+
+    n_out = int(rng.integers(1, 4))
+    gm = rng.integers(0, n_out, size=n_groups).astype(np.int64)
+    merged = bundle.aggregate(gm, n_out)
+    assert merged.powers is ctx.powers
+    assert merged.fps.tobytes() == _bigint_fps(ctx, gm[gi], n_out, mask).tobytes()
+    _assert_queries_match_eager(merged)
+
+    other = ctx.group_sums(rng.integers(0, n_groups, size=slots.size).astype(np.int64), n_groups)
+    total = bundle.add(other)
+    assert total.fps.tobytes() == ((bundle.fps + other.fps) % _P).tobytes()
+    _assert_queries_match_eager(total)
+    # A table-less left operand picks the table up from the right one.
+    hand_built = SketchBundle(spec, bundle.counts, bundle.sums, bundle.fps)
+    assert hand_built.add(other).powers is other.powers
+    _assert_queries_match_eager(hand_built.add(other))
+
+
+def test_both_verification_paths_are_exercised():
+    # The context's one kernel decision picks the path: a tiny frontier
+    # powmods directly (no table), a large one builds the (2R, n) table.
+    n = 512
+    rng = np.random.default_rng(7)
+    tiny = SketchContext(SketchSpec.for_graph(n, seed=1), *_incidences(rng, n, 3, True))
+    big = SketchContext(SketchSpec.for_graph(n, seed=1), *_incidences(rng, n, 400, True))
+    assert tiny.powers is None
+    assert big.powers is not None and big.powers.shape == (2 * 6, n)
+    for ctx in (tiny, big):
+        groups = rng.integers(0, 5, size=ctx.n_incidences).astype(np.int64)
+        bundle = ctx.group_sums(groups, 5)
+        assert bundle.sample().found.any()
+        _assert_queries_match_eager(bundle)
+
+
+@pytest.mark.parametrize("family", ["polynomial", "prf"])
+@pytest.mark.parametrize("m", [3, 300])
+def test_forced_false_candidates_are_rejected(family, m):
+    # Group 0 holds slots a + b - c with every incidence forced to the
+    # deepest level: every (repetition, level) bin reads c == 1 and an
+    # in-range id-sum, yet no bin is one-sparse.  The fingerprint check
+    # must reject every such candidate, on both verification paths.
+    n = 256
+    a, b, c = 3 * n + 9, 5 * n + 40, 2 * n + 7
+    rng = np.random.default_rng(m)
+    filler, filler_signs = _incidences(rng, n, m, False)
+    slots = np.concatenate([np.array([a, b, c], dtype=np.uint64), filler])
+    signs = np.concatenate([np.array([1, 1, -1], dtype=np.int64), filler_signs])
+    spec = SketchSpec.for_graph(n, seed=11, repetitions=4, hash_family=family)
+    ctx = SketchContext(spec, slots, signs)
+    assert (ctx.powers is None) == (m == 3)
+    ctx.depths[:, :3] = spec.levels - 1  # adversarial override
+    groups = np.concatenate([np.zeros(3, dtype=np.int64), np.ones(m, dtype=np.int64)])
+    bundle = ctx.group_sums(groups, 2)
+    assert (bundle.counts[0] == 1).all()
+    assert (bundle.sums[0] == a + b - c).all()
+    assert not bundle.sample().found[0]
+    _assert_queries_match_eager(bundle)
+
+
+def test_sharded_merge_matches_serial():
+    # Above MIN_SHARD_ITEMS the scatter shards and merges exact int64
+    # partials; the unreduced halves (not just their residues) must match
+    # the serial scatter byte for byte.
+    n = 1024
+    rng = np.random.default_rng(5)
+    slots, signs = _incidences(rng, n, MIN_SHARD_ITEMS + 500, True)
+    spec = SketchSpec.for_graph(n, seed=3, repetitions=3)
+    ctx = SketchContext(spec, slots, signs)
+    gi = rng.integers(0, 40, size=slots.size).astype(np.int64)
+    mask = rng.random(slots.size) < 0.9
+    for m in (None, mask):
+        serial = ctx.group_sums(gi, 40, mask=m)
+        pool = ShardPool(2)
+        try:
+            with sharded(pool):
+                parallel = ctx.group_sums(gi, 40, mask=m)
+        finally:
+            pool.shutdown()
+        for field in ("counts", "sums", "fps_lo", "fps_hi"):
+            assert getattr(parallel, field).tobytes() == getattr(serial, field).tobytes()
+        _assert_queries_match_eager(parallel)
+
+
+# --------------------------------------------------------------------------
+# Group-id validation
+# --------------------------------------------------------------------------
+
+
+def _small_bundle() -> tuple[SketchContext, SketchBundle]:
+    n = 16
+    slots = np.array([1 * n + 3, 2 * n + 5, 4 * n + 9], dtype=np.uint64)
+    ctx = SketchContext(SketchSpec.for_graph(n, seed=2), slots, np.array([1, -1, 1]))
+    return ctx, ctx.group_sums(np.array([0, 1, 2]), 3)
+
+
+@pytest.mark.parametrize("gm", [[0, -1, 1], [0, 2, 1], [-5, 0, 0]])
+def test_aggregate_rejects_out_of_range_ids(gm):
+    _, bundle = _small_bundle()
+    with pytest.raises(ValueError, match=r"group_map entries must lie in \[0, 2\)"):
+        bundle.aggregate(np.array(gm), 2)
+
+
+@pytest.mark.parametrize("gi", [[0, -1, 1], [0, 3, 1]])
+@pytest.mark.parametrize("masked", [False, True])
+def test_group_sums_rejects_out_of_range_ids(gi, masked):
+    ctx, _ = _small_bundle()
+    mask = np.array([True, False, True]) if masked else None
+    with pytest.raises(ValueError, match=r"group_idx entries must lie in \[0, 3\)"):
+        ctx.group_sums(np.array(gi), 3, mask=mask)
+
+
+def test_in_range_ids_still_accepted():
+    ctx, bundle = _small_bundle()
+    assert bundle.aggregate(np.array([1, 1, 0]), 2).n_groups == 2
+    empty = SketchContext(ctx.spec, np.array([], dtype=np.uint64), np.array([], dtype=np.int64))
+    assert empty.group_sums(np.array([], dtype=np.int64), 0).n_groups == 0
