@@ -41,7 +41,6 @@ service's key-affinity worker pool does.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -51,33 +50,39 @@ from repro.cluster.cluster import KMachineCluster
 from repro.cluster.partition import build_partition
 from repro.graphs.graph import Graph
 from repro.runtime.config import ClusterConfig, RunConfig, resolve_seed
-from repro.runtime.parallel import ShardPool, parallel_default, parallel_shards, sharded
 from repro.runtime.registry import GraphContext, get_algorithm
 from repro.runtime.report import RunReport
 
 __all__ = ["Session"]
 
 
-def _topology(graph: Graph, cc: ClusterConfig):
-    """The explicit topology for a pinned absolute bandwidth, else None."""
-    if cc.bandwidth_bits is None:
-        return None
-    from repro.cluster.topology import ClusterTopology
-
-    return ClusterTopology(k=cc.k, bandwidth_bits=cc.bandwidth_bits)
-
-
-def _build_cluster(graph: Graph, config: RunConfig, seed: int) -> KMachineCluster:
-    """Create the cluster a run needs, applying the partition-seed default."""
-    cc = config.cluster
+def _cluster_key(cc: ClusterConfig, seed: int) -> tuple:
+    """The cluster-shaping state of a run: the :class:`ClusterConfig`
+    fields plus the resolved partition seed (``cc.partition_seed`` pins
+    it, else the run seed).  Cluster construction is deterministic in
+    these values and the graph, which is what makes cache hits safe.
+    """
     partition_seed = cc.partition_seed if cc.partition_seed is not None else seed
+    return (cc.k, partition_seed, cc.bandwidth_multiplier, cc.bandwidth_bits, cc.partition)
+
+
+def _build_cluster(
+    graph: Graph, cc: ClusterConfig, seed: int, *, epoch: int = 0
+) -> KMachineCluster:
+    """Create the cluster a run needs at partition ``epoch`` (DESIGN.md §8)."""
+    k, partition_seed, bandwidth_multiplier, bandwidth_bits, partition = _cluster_key(cc, seed)
+    topology = None
+    if bandwidth_bits is not None:
+        from repro.cluster.topology import ClusterTopology
+
+        topology = ClusterTopology(k=k, bandwidth_bits=bandwidth_bits)
     return KMachineCluster.create(
         graph,
-        cc.k,
+        k,
         partition_seed,
-        bandwidth_multiplier=cc.bandwidth_multiplier,
-        partition=build_partition(graph, cc.k, partition_seed, cc.partition),
-        topology=_topology(graph, cc),
+        bandwidth_multiplier=bandwidth_multiplier,
+        partition=build_partition(graph, k, partition_seed, partition, epoch=epoch),
+        topology=topology,
     )
 
 
@@ -110,43 +115,31 @@ def _graph_fingerprint(graph: Graph) -> bytes:
 def _worker_cluster(graph: Graph, config: RunConfig, seed: int) -> KMachineCluster:
     """The memoized cluster for one grid point (build on first use).
 
-    The key is exactly the cluster-shaping state — graph content plus the
-    :class:`ClusterConfig` fields and the resolved partition seed — so a
-    hit is guaranteed to be the cluster a fresh build would produce
-    (cluster construction is deterministic in those inputs).  Reuse
+    The key is graph *content* plus :func:`_cluster_key`, so a hit is
+    guaranteed to be the cluster a fresh build would produce.  Reuse
     resets the ledger first, as the session cache does.
     """
-    cc = config.cluster
-    partition_seed = cc.partition_seed if cc.partition_seed is not None else seed
-    key = (
-        _graph_fingerprint(graph),
-        cc.k,
-        partition_seed,
-        cc.bandwidth_multiplier,
-        cc.bandwidth_bits,
-        cc.partition,
-    )
+    key = (_graph_fingerprint(graph), *_cluster_key(config.cluster, seed))
     cluster = _WORKER_CLUSTERS.get(key)
     if cluster is not None:
         _WORKER_CLUSTERS.move_to_end(key)
         cluster.reset_ledger()
         return cluster
-    cluster = _build_cluster(graph, config, seed)
+    cluster = _build_cluster(graph, config.cluster, seed)
     _WORKER_CLUSTERS[key] = cluster
     while len(_WORKER_CLUSTERS) > _WORKER_CLUSTER_CAP:
         _WORKER_CLUSTERS.popitem(last=False)
     return cluster
 
 
-def _sweep_worker(payload: tuple[Graph, str, dict, int, int | None]) -> RunReport:
-    """Process-pool entry point: run one grid point, sharded if requested."""
-    graph, algorithm, config_dict, seed, parallel = payload
+def _sweep_worker(payload: tuple[Graph, str, dict, int]) -> RunReport:
+    """Process-pool entry point: run one grid point."""
+    graph, algorithm, config_dict, seed = payload
     config = RunConfig.from_dict(config_dict)
     spec = get_algorithm(algorithm)
-    with parallel_shards(parallel):
-        if spec.graph_only:
-            return spec.run(GraphContext(graph=graph, k=config.cluster.k), config, seed=seed)
-        return spec.run(_worker_cluster(graph, config, seed), config, seed=seed)
+    if spec.graph_only:
+        return spec.run(GraphContext(graph=graph, k=config.cluster.k), config, seed=seed)
+    return spec.run(_worker_cluster(graph, config, seed), config, seed=seed)
 
 
 class Session:
@@ -161,24 +154,15 @@ class Session:
     config:
         Default :class:`RunConfig`; individual calls may override it.  The
         session never mutates it.
-    cache_size:
-        Maximum cached clusters (LRU eviction beyond this), so long-lived
-        sessions over many graphs stay bounded.
     max_clusters:
-        Alias for ``cache_size`` (wins when both are given) — the name the
-        service layer exposes; the default preserves the historical bound.
+        Maximum cached clusters (LRU eviction beyond this, floored at 1),
+        so long-lived sessions over many graphs stay bounded.
     corpus:
         Optional :class:`~repro.corpus.manager.CorpusManager` used to
         resolve ``corpus:`` graph identities.  Omitted, one is created on
         first use at the default root; *sharing* one manager across
         sessions (as the service does across its workers) makes their
         loads coalesce onto a single mmap open.
-    parallel:
-        Default in-run shard workers for :meth:`run`/:meth:`sweep` (see
-        :mod:`repro.runtime.parallel`): ``N > 1`` shards each run's sketch
-        kernels over a session-owned thread pool with byte-identical
-        results, ``1`` forces serial, ``None`` (default) defers to
-        ``REPRO_PARALLEL`` or any ambient ``parallel_shards`` context.
     """
 
     def __init__(
@@ -186,16 +170,13 @@ class Session:
         graph: "Graph | str | None" = None,
         *,
         config: RunConfig | None = None,
-        cache_size: int = 32,
-        max_clusters: int | None = None,
+        max_clusters: int = 32,
         corpus=None,
-        parallel: int | None = None,
     ) -> None:
         self._corpus = corpus
-        self.parallel = parallel if parallel is None else max(1, int(parallel))
         self.graph = self.resolve_graph(graph)
         self.config = (config if config is not None else RunConfig()).validate()
-        self.cache_size = max(1, int(cache_size if max_clusters is None else max_clusters))
+        self.max_clusters = max(1, int(max_clusters))
         # key -> (graph ref, cluster); the graph ref keeps id(graph) stable.
         # Ordered most-recently-used last; all access goes through _lock.
         self._clusters: OrderedDict[tuple, tuple[Graph, KMachineCluster]] = OrderedDict()
@@ -205,8 +186,6 @@ class Session:
         self._evictions = 0
         self._pool = None
         self._pool_width = 0
-        self._shard_pool: ShardPool | None = None
-        self._shard_width = 0
 
     # -- corpus resolution --------------------------------------------------
 
@@ -239,11 +218,6 @@ class Session:
 
     # -- cluster lifecycle -------------------------------------------------
 
-    @property
-    def max_clusters(self) -> int:
-        """The cluster-cache bound (same value as ``cache_size``)."""
-        return self.cache_size
-
     def cluster_for(
         self,
         graph: Graph,
@@ -266,18 +240,7 @@ class Session:
         hit/miss counts are only deterministic when same-key calls are
         serialized, as in the service's key-affinity workers.
         """
-        partition_seed = (
-            cluster_config.partition_seed if cluster_config.partition_seed is not None else seed
-        )
-        key = (
-            id(graph),
-            cluster_config.k,
-            partition_seed,
-            cluster_config.bandwidth_multiplier,
-            cluster_config.bandwidth_bits,
-            cluster_config.partition,
-            int(epoch),
-        )
+        key = (id(graph), int(epoch), *_cluster_key(cluster_config, seed))
         with self._lock:
             hit = self._clusters.get(key)
             if hit is not None and hit[0] is graph:
@@ -287,16 +250,7 @@ class Session:
                 cluster.reset_ledger()
                 return cluster
         # Build outside the lock so distinct keys can build concurrently.
-        cluster = KMachineCluster.create(
-            graph,
-            cluster_config.k,
-            partition_seed,
-            bandwidth_multiplier=cluster_config.bandwidth_multiplier,
-            partition=build_partition(
-                graph, cluster_config.k, partition_seed, cluster_config.partition, epoch=epoch
-            ),
-            topology=_topology(graph, cluster_config),
-        )
+        cluster = _build_cluster(graph, cluster_config, seed, epoch=epoch)
         with self._lock:
             self._misses += 1
             current = self._clusters.get(key)
@@ -307,7 +261,7 @@ class Session:
                 cluster.reset_ledger()
                 return cluster
             self._clusters[key] = (graph, cluster)
-            while len(self._clusters) > self.cache_size:
+            while len(self._clusters) > self.max_clusters:
                 self._clusters.popitem(last=False)
                 self._evictions += 1
         return cluster
@@ -325,7 +279,7 @@ class Session:
                 "misses": self._misses,
                 "evictions": self._evictions,
                 "size": len(self._clusters),
-                "max_clusters": self.cache_size,
+                "max_clusters": self.max_clusters,
             }
             if self._corpus is not None:
                 info["corpus"] = self._corpus.cache_info()
@@ -350,12 +304,8 @@ class Session:
         with self._lock:
             pool, self._pool = self._pool, None
             self._pool_width = 0
-            shards, self._shard_pool = self._shard_pool, None
-            self._shard_width = 0
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        if shards is not None:
-            shards.shutdown()
 
     def __enter__(self) -> "Session":
         return self
@@ -379,34 +329,6 @@ class Session:
                 self._pool = concurrent.futures.ProcessPoolExecutor(max_workers=processes)
                 self._pool_width = processes
             return self._pool
-
-    def _shard_context(self, parallel: int | None):
-        """The shard-pool context for one run (see ``parallel`` precedence).
-
-        Explicit argument > session default > ``REPRO_PARALLEL`` > inherit
-        whatever ``parallel_shards`` context is already active.  The pool
-        is session-owned and reused across runs of the same width
-        (replaced on a width change, shut down in :meth:`close`); results
-        are byte-identical at every width, so the choice is pure wall
-        time.
-        """
-        w = parallel if parallel is not None else self.parallel
-        if w is None:
-            w = parallel_default()
-        if w is None:
-            return contextlib.nullcontext()
-        w = max(1, int(w))
-        if w <= 1:
-            return sharded(None)
-        with self._lock:
-            if self._shard_pool is not None and self._shard_width != w:
-                old, self._shard_pool = self._shard_pool, None
-                self._shard_width = 0
-                old.shutdown()
-            if self._shard_pool is None:
-                self._shard_pool = ShardPool(w)
-                self._shard_width = w
-            return sharded(self._shard_pool)
 
     # -- running -----------------------------------------------------------
 
@@ -436,13 +358,8 @@ class Session:
         scenario=None,
         n: int | None = None,
         epoch: int = 0,
-        parallel: int | None = None,
     ) -> RunReport:
         """Run one registered algorithm and return its :class:`RunReport`.
-
-        ``parallel`` selects the in-run shard worker count (precedence and
-        byte-identity contract in :meth:`_shard_context` /
-        :mod:`repro.runtime.parallel`).
 
         Seed precedence: ``seed`` here > ``config.seed`` > the default —
         the resolved value seeds both the partition (unless
@@ -490,11 +407,9 @@ class Session:
                     f"algorithm {algorithm!r} builds its own machines; epoch= does not apply"
                 )
             # The algorithm builds its own machines; no cluster to cache.
-            with self._shard_context(parallel):
-                return spec.run(GraphContext(graph=g, k=cfg.cluster.k), cfg, seed=resolved)
+            return spec.run(GraphContext(graph=g, k=cfg.cluster.k), cfg, seed=resolved)
         cluster = self.cluster_for(g, cfg.cluster, resolved, epoch=epoch)
-        with self._shard_context(parallel):
-            return spec.run(cluster, cfg, seed=resolved)
+        return spec.run(cluster, cfg, seed=resolved)
 
     def sweep(
         self,
@@ -508,7 +423,6 @@ class Session:
         config: RunConfig | None = None,
         processes: int | None = None,
         scenario=None,
-        parallel: int | None = None,
     ) -> list[RunReport]:
         """Run ``algorithm`` over the grid ``ns x ks x seeds``; return all reports.
 
@@ -523,10 +437,6 @@ class Session:
             ``None`` or ``1`` runs sequentially in-process; ``> 1`` fans the
             grid out over a process pool.  Report order always matches the
             grid order (n-major, then k, then seed).
-        parallel:
-            In-run shard workers per grid point (byte-identical results at
-            any width; see :mod:`repro.runtime.parallel`).  Composes with
-            ``processes``: each pool worker shards its own runs.
         scenario:
             Registered scenario name (or instance): its partition scheme
             and fault plan overlay the config, and — when neither
@@ -570,9 +480,8 @@ class Session:
                 for s in seed_list:
                     jobs.append((g, cfg, s))
 
-        para = self.parallel if parallel is None else parallel
         if processes is not None and processes > 1:
-            payloads = [(g, algorithm, cfg.to_dict(), s, para) for g, cfg, s in jobs]
+            payloads = [(g, algorithm, cfg.to_dict(), s) for g, cfg, s in jobs]
             pool = self._pool_for(processes)
             try:
                 return list(pool.map(_sweep_worker, payloads))
@@ -591,13 +500,12 @@ class Session:
         use_cache = ns is None
         spec = get_algorithm(algorithm)
         reports = []
-        with self._shard_context(parallel):
-            for g, cfg, s in jobs:
-                if spec.graph_only:
-                    target = GraphContext(graph=g, k=cfg.cluster.k)
-                elif use_cache:
-                    target = self.cluster_for(g, cfg.cluster, s)
-                else:
-                    target = _build_cluster(g, cfg, s)
-                reports.append(spec.run(target, cfg, seed=s))
+        for g, cfg, s in jobs:
+            if spec.graph_only:
+                target = GraphContext(graph=g, k=cfg.cluster.k)
+            elif use_cache:
+                target = self.cluster_for(g, cfg.cluster, s)
+            else:
+                target = _build_cluster(g, cfg.cluster, s)
+            reports.append(spec.run(target, cfg, seed=s))
         return reports

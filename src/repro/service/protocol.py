@@ -182,6 +182,8 @@ class RunRequest:
             )
         if not isinstance(self.epoch, int) or self.epoch < 0:
             raise ProtocolError(f"epoch must be a non-negative int, got {self.epoch!r}")
+        if not isinstance(self.weighted, bool):
+            raise ProtocolError(f"weighted must be a boolean, got {self.weighted!r}")
         if self.updates is not None:
             if not isinstance(self.updates, dict):
                 raise ProtocolError(
@@ -243,13 +245,16 @@ class RunRequest:
         if unknown:
             raise ProtocolError(f"unknown request fields: {', '.join(sorted(unknown))}")
         for key in ("n", "seed", "k", "epoch"):
-            if key in d and d[key] is not None:
-                try:
-                    d[key] = int(d[key])
-                except (TypeError, ValueError):
-                    raise ProtocolError(f"{key} must be an integer, got {d[key]!r}") from None
-        if "weighted" in d:
-            d["weighted"] = bool(d["weighted"])
+            value = d.get(key)
+            if value is None:
+                continue
+            # int() would silently turn true into 1 and 300.7 into 300.
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ProtocolError(f"{key} must be an integer, got {value!r}")
+            try:
+                d[key] = int(value)
+            except (TypeError, ValueError):
+                raise ProtocolError(f"{key} must be an integer, got {value!r}") from None
         if d.get("params") is None:
             d.pop("params", None)
         return cls(**d).validate()

@@ -61,7 +61,6 @@ from repro.sketch.edgespace import max_slot_bits
 from repro.sketch.field import MERSENNE_P, addmod, mulmod, powmod
 from repro.sketch.kernels import group_rows, segment_sum
 from repro.sketch.kwise import batch_values
-from repro.util.parallel import MIN_SHARD_ITEMS, active_pool
 from repro.util.rng import derive_seed
 
 __all__ = ["SketchSpec", "SketchContext", "SketchBundle", "SampleResult"]
@@ -415,30 +414,16 @@ class SketchContext:
         seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(r)]
         self.powers = self._power_table(eval_slots.size)
         reps = np.arange(r, dtype=np.int64)[:, None]
-
-        def per_slot(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            h = batch_values(seeds, bits + 4, spec.hash_family, chunk)
-            # Descending thresholds T[l] = p >> l; depth = (#thresholds >
-            # h) - 1 with #{j < L: h < p >> j} = clip(61 - floor(log2(h +
-            # 1)), 0, L) (see _count_levels_above) — a handful of passes
-            # independent of L, replacing the per-level searchsorted of
-            # the per-repetition loop.
-            gt = _count_levels_above(h, l)
-            fp = _slot_powers(spec, self.powers, reps, chunk[None, :])
-            return np.clip(gt - 1, 0, l - 1), fp
-
-        pool = active_pool()
-        if pool is None or eval_slots.size < MIN_SHARD_ITEMS:
-            depths, fp = per_slot(eval_slots)
-        else:
-            # Shard over the incidence axis: every per-slot quantity is
-            # elementwise in the slot id, so chunk outputs concatenated in
-            # chunk order are the unchunked arrays byte for byte (the
-            # power-table/direct-powmod choice is made once on the full
-            # size above, shared by all chunks).
-            chunks = pool.map_ranges(lambda lo, hi: per_slot(eval_slots[lo:hi]), eval_slots.size)
-            depths = np.concatenate([d for d, _ in chunks], axis=1)
-            fp = np.concatenate([f for _, f in chunks], axis=1)
+        # Descending thresholds T[l] = p >> l; depth = (#thresholds > h) - 1
+        # with #{j < L: h < p >> j} = clip(61 - floor(log2(h + 1)), 0, L)
+        # (see _count_levels_above) — a handful of passes independent of
+        # L, replacing the per-level searchsorted of the per-repetition loop.
+        # The (R, E) hash values are freed before the (R, E) fingerprint
+        # powers are built, so the two never coexist in memory.
+        h = batch_values(seeds, bits + 4, spec.hash_family, eval_slots)
+        depths = np.clip(_count_levels_above(h, l) - 1, 0, l - 1)
+        del h
+        fp = _slot_powers(spec, self.powers, reps, eval_slots[None, :])
         if mirrored:
             depths = np.concatenate([depths, depths], axis=1)
             fp = np.concatenate([fp, fp], axis=1)
@@ -463,8 +448,7 @@ class SketchContext:
         than building a table it would barely read.  Both paths compute
         the canonical representative of the same field element
         ``r^slot mod p``, so the choice is invisible in the output bytes
-        (pinned by the sketch exactness suites).  The decision is made once
-        here, on the *total* size, and shared by every shard chunk.
+        (pinned by the sketch exactness suites).
         """
         n = self.spec.n
         if total_slots * 2 * max_slot_bits(n) < 2 * n:
@@ -504,67 +488,34 @@ class SketchContext:
             sel = np.asarray(mask, dtype=bool)
             g_sel, sign_sel, slots_sel = gi[sel], self.signs[sel], self.slots[sel]
             d, f = self.depths[:, sel], self.fp_contrib[:, sel]
+        # Incidence at depth d lives in levels 0..d; accumulate into the
+        # flat (group, repetition, depth) bin — all repetitions at once —
+        # then suffix-sum over the level axis.  Bins never mix repetitions,
+        # so each receives at most e_sel incidences (the exactness bound
+        # the bincount kernel checks against).
         e_sel = g_sel.size
+        size = n_groups * r * l
+        shape = (n_groups, r, l)
+        flat = (
+            (g_sel[None, :] * np.int64(r) + np.arange(r, dtype=np.int64)[:, None]) * np.int64(l)
+            + d
+        ).ravel()
 
-        def scatter_chunk(gs, signs, slots_c, d_c, f_c):
-            """The four scatter-adds over one incidence chunk (pre-cumsum).
+        def scatter(weights: np.ndarray, max_abs: int) -> np.ndarray:
+            tiled = np.broadcast_to(weights, (r, e_sel)).ravel() if weights.ndim == 1 else weights.ravel()
+            return segment_sum(tiled, flat, size, max_abs=max_abs, max_count=e_sel).reshape(shape)
 
-            Incidence at depth d lives in levels 0..d; accumulate into the
-            flat (group, repetition, depth) bin — all repetitions at once —
-            then suffix-sum over the level axis at the end.  Bins never mix
-            repetitions, so each receives at most the chunk's incidence
-            count (the exactness bound the bincount kernel checks against).
-            """
-            e_c = gs.size
-            size = n_groups * r * l
-            shape = (n_groups, r, l)
-            flat = (
-                (gs[None, :] * np.int64(r) + np.arange(r, dtype=np.int64)[:, None])
-                * np.int64(l)
-                + d_c
-            ).ravel()
-
-            def scatter(weights: np.ndarray, max_abs: int) -> np.ndarray:
-                tiled = np.broadcast_to(weights, (r, e_c)).ravel() if weights.ndim == 1 else weights.ravel()
-                return segment_sum(
-                    tiled, flat, size, max_abs=max_abs, max_count=e_c
-                ).reshape(shape)
-
-            counts = scatter(signs, 1)
-            # Id-sums: one scatter with max|w| = n^2 - 1.  Within the
-            # float64 horizon this is a single exact bincount; far beyond
-            # it (huge incidence lists on huge n) the kernel falls back to
-            # the int64 np.add.at reference — exact either way.
-            slot_signed = slots_c.view(np.int64) * signs  # slots < n^2 < 2^63: view-safe
-            sums = scatter(slot_signed, max(1, int(self.spec.n) ** 2 - 1))
-            f64 = f_c.view(np.int64)  # values < p < 2^63: reinterpret, no copy
-            fps_lo = scatter((f64 & _LOW30) * signs[None, :], _MAX_LO)
-            fps_hi = scatter((f64 >> np.int64(30)) * signs[None, :], _MAX_HI_FP)
-            return counts, sums, fps_lo, fps_hi
-
-        pool = active_pool()
-        if pool is None or e_sel < MIN_SHARD_ITEMS:
-            counts, sums, fps_lo, fps_hi = scatter_chunk(g_sel, sign_sel, slots_sel, d, f)
-        else:
-            # Shard the scatter over the incidence axis.  Every per-chunk
-            # partial is an exact signed int64 accumulator (counts,
-            # id-sums, and the 30-bit fingerprint halves), so summing the
-            # partials in chunk order reproduces the unchunked scatter
-            # byte for byte — integer addition is associative; the
-            # canonical mod-p reduction waits for the bins a query reads,
-            # exactly as in the serial path.
-            parts = pool.map_ranges(
-                lambda lo, hi: scatter_chunk(
-                    g_sel[lo:hi], sign_sel[lo:hi], slots_sel[lo:hi], d[:, lo:hi], f[:, lo:hi]
-                ),
-                e_sel,
-            )
-            counts, sums, fps_lo, fps_hi = parts[0]  # fresh chunk arrays: in-place merge is safe
-            for pc, ps, plo, phi in parts[1:]:
-                counts += pc
-                sums += ps
-                fps_lo += plo
-                fps_hi += phi
+        counts = scatter(sign_sel, 1)
+        # Id-sums: one scatter with max|w| = n^2 - 1.  Within the float64
+        # horizon this is a single exact bincount; far beyond it (huge
+        # incidence lists on huge n) the kernel falls back to the int64
+        # np.add.at reference — exact either way.
+        slot_signed = slots_sel.view(np.int64) * sign_sel  # slots < n^2 < 2^63: view-safe
+        sums = scatter(slot_signed, max(1, int(self.spec.n) ** 2 - 1))
+        f64 = f.view(np.int64)  # values < p < 2^63: reinterpret, no copy
+        fps_lo = scatter((f64 & _LOW30) * sign_sel[None, :], _MAX_LO)
+        fps_hi = scatter((f64 >> np.int64(30)) * sign_sel[None, :], _MAX_HI_FP)
+        del flat, slot_signed  # free the (R, E) temporaries before the cumsums
         # Suffix-cumulative over levels: level l = sum over depths >= l.
         counts = np.flip(np.cumsum(np.flip(counts, axis=2), axis=2), axis=2)
         sums = np.flip(np.cumsum(np.flip(sums, axis=2), axis=2), axis=2)

@@ -88,6 +88,29 @@ def test_request_dict_roundtrip():
 def test_request_from_dict_coerces_ints():
     req = RunRequest.from_dict({"n": "128", "k": "8", "seed": "1", "epoch": "0"})
     assert (req.n, req.k, req.seed) == (128, 8, 1)
+    req = RunRequest.from_dict({"n": 300.0, "k": 4.0})
+    assert (req.n, req.k) == (300, 4)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n": 300.7},
+        {"k": 4.9},
+        {"epoch": 0.5},
+        {"seed": True},
+        {"n": False},
+        {"k": float("nan")},
+        {"weighted": "false"},
+        {"weighted": 0},
+        {"weighted": None},
+    ],
+)
+def test_request_from_dict_rejects_lossy_values(fields):
+    # Booleans and non-integral floats are not integers, and only a JSON
+    # boolean is a boolean: decoding must refuse rather than rewrite them.
+    with pytest.raises(ProtocolError, match=next(iter(fields))):
+        RunRequest.from_dict(fields)
 
 
 def test_request_rejects_unknown_fields():

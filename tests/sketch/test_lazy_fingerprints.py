@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.sketch.edgespace import max_slot_bits
 from repro.sketch.field import MERSENNE_P, powmod
 from repro.sketch.l0 import SampleResult, SketchBundle, SketchContext, SketchSpec
-from repro.util.parallel import MIN_SHARD_ITEMS, ShardPool, sharded
 
 _P = np.uint64(MERSENNE_P)
 
@@ -209,28 +208,22 @@ def test_forced_false_candidates_are_rejected(family, m):
     _assert_queries_match_eager(bundle)
 
 
-def test_sharded_merge_matches_serial():
-    # Above MIN_SHARD_ITEMS the scatter shards and merges exact int64
-    # partials; the unreduced halves (not just their residues) must match
-    # the serial scatter byte for byte.
+def test_large_scatter_matches_eager():
+    # One serial scatter over ~17k incidences, far past the property
+    # suite's sizes, with and without a mask: the lazily reduced halves
+    # must still give the bigint fingerprints and the eager query answers.
     n = 1024
     rng = np.random.default_rng(5)
-    slots, signs = _incidences(rng, n, MIN_SHARD_ITEMS + 500, True)
+    slots, signs = _incidences(rng, n, 8192 + 500, True)
     spec = SketchSpec.for_graph(n, seed=3, repetitions=3)
     ctx = SketchContext(spec, slots, signs)
+    assert ctx.n_incidences > 2 * 8192
     gi = rng.integers(0, 40, size=slots.size).astype(np.int64)
     mask = rng.random(slots.size) < 0.9
     for m in (None, mask):
-        serial = ctx.group_sums(gi, 40, mask=m)
-        pool = ShardPool(2)
-        try:
-            with sharded(pool):
-                parallel = ctx.group_sums(gi, 40, mask=m)
-        finally:
-            pool.shutdown()
-        for field in ("counts", "sums", "fps_lo", "fps_hi"):
-            assert getattr(parallel, field).tobytes() == getattr(serial, field).tobytes()
-        _assert_queries_match_eager(parallel)
+        bundle = ctx.group_sums(gi, 40, mask=m)
+        assert bundle.fps.tobytes() == _bigint_fps(ctx, gi, 40, m).tobytes()
+        _assert_queries_match_eager(bundle)
 
 
 # --------------------------------------------------------------------------
