@@ -200,7 +200,9 @@ def minimum_spanning_tree_distributed(
                 inc_part=inc_part,
                 repetitions=repetitions,
                 hash_family=hash_family,
-                weight_bound_per_comp=np.where(active, bound, 0.0),
+                # A finished component sketches nothing: -inf drops every
+                # incidence, whatever the sign of its weight.
+                weight_bound_per_comp=np.where(active, bound, -np.inf),
                 want_weights=True,
                 prune=prune,
                 inc_cross=inc_cross,

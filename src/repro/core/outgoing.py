@@ -21,8 +21,9 @@ Late-phase pruning
 ------------------
 By default the step pre-filters *component-internal* incidence pairs and
 sketches only the active frontier, grouping directly at component
-granularity.  Both shortcuts are exact — the resulting component sketches
-are byte-identical to the unpruned part-level pipeline (proof in
+granularity, over only the components that keep an incidence.  These
+shortcuts are exact — the resulting component answers are byte-identical
+to the unpruned part-level pipeline (proof in
 :func:`select_outgoing_edges`), so every downstream decision, ledger
 charge, and committed baseline is unchanged; only the kernel work shrinks
 with the frontier.  ``REPRO_SKETCH_PRUNE=0`` (or ``prune=False``) restores
@@ -43,7 +44,7 @@ from repro.cluster.shared_random import SharedRandomness
 from repro.core.labels import PartIndex
 from repro.core.proxy import parts_to_proxies, proxy_of_labels
 from repro.sketch.edgespace import decode_slot
-from repro.sketch.l0 import SketchContext, SketchSpec
+from repro.sketch.l0 import SampleResult, SketchContext, SketchSpec
 from repro.util.bits import bits_for_id
 
 __all__ = ["OutgoingSelection", "select_outgoing_edges", "sketch_prune_default"]
@@ -142,7 +143,8 @@ def select_outgoing_edges(
     weight_bound_per_comp:
         ``float64[C]`` aligned with ``parts.comp_labels``: incidences with
         ``weight >= bound`` are excluded from the sketch (MST elimination).
-        ``+inf`` (or None) keeps everything.
+        ``+inf`` (or None) keeps everything; ``-inf`` drops every
+        incidence of the component.
     want_weights:
         If True, label-query replies carry the edge weight (64 extra bits).
     prune:
@@ -173,6 +175,18 @@ def select_outgoing_edges(
            canonical mod-p fingerprints of the same residues as grouping
            the incidences by component directly, so the two pipelines emit
            identical bytes and the part-level pass can be skipped.
+        3. *Empty components answer without a sketch.*  A component none
+           of whose incidences survives has an all-zero row: every count,
+           id-sum and fingerprint half is 0.  ``nonzero_mask`` reads its
+           level-0 fingerprints as 0 (``False``) and ``sample`` finds no
+           ``|count| == 1`` cell (``found=False``, ``slot=-1``,
+           ``sign=0``) — deterministically, not w.h.p.  Every other row
+           sums only its own component's incidences, and ``sample`` picks
+           per group from that group's cells alone, so sketching just the
+           occupied components under an order-preserving dense relabel
+           and scattering the answers back gives the same bytes.  When no
+           incidence survives at all (the MST's certifying last
+           iteration) no context is built.
 
         Every downstream consumer (nonzero test, sample, label queries)
         reads only the component bundle, and every ledger charge depends
@@ -210,7 +224,6 @@ def select_outgoing_edges(
         keep = inc_cross
         if bound is not None:
             keep = keep & (cluster.inc_weight < bound[inc_comp])
-        ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
         comp_group = inc_comp[keep]
     else:
         ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
@@ -233,17 +246,20 @@ def select_outgoing_edges(
     )
 
     # 3. Proxy-side combination and sampling (Lemma 2).  With pruning the
-    # frontier incidences were grouped at component granularity directly
-    # (byte-identical to part-then-aggregate; see the docstring proof).
+    # frontier incidences are grouped at component granularity directly,
+    # over the occupied components only (byte-identical to
+    # part-then-aggregate; see the docstring proof).
+    c = parts.n_components
     if prune:
-        comp_bundle = ctx.group_sums(comp_group, parts.n_components)
+        nonzero, sample = _sketch_frontier(
+            spec, cluster.inc_slot[keep], cluster.inc_sign[keep], comp_group, c
+        )
     else:
-        comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    nonzero = comp_bundle.nonzero_mask()
-    sample = comp_bundle.sample()
+        comp_bundle = part_bundle.aggregate(parts.comp_of_part, c)
+        nonzero = comp_bundle.nonzero_mask()
+        sample = comp_bundle.sample()
     found = sample.found
 
-    c = parts.n_components
     internal = np.full(c, -1, dtype=np.int64)
     foreign = np.full(c, -1, dtype=np.int64)
     neighbor_label = np.full(c, -1, dtype=np.int64)
@@ -284,6 +300,46 @@ def select_outgoing_edges(
         neighbor_label=neighbor_label,
         edge_weight=weight,
     )
+
+
+def _sketch_frontier(
+    spec: SketchSpec, slots: np.ndarray, signs: np.ndarray, comp: np.ndarray, n_comp: int
+) -> tuple[np.ndarray, SampleResult]:
+    """Nonzero mask and sample of ``n_comp`` component sketches.
+
+    Incidence ``i`` belongs to component ``comp[i]``.  A component with no
+    incidence reads as an all-zero sketch row (``nonzero=False``,
+    ``found=False``, ``slot=-1``, ``sign=0``), so only the occupied
+    components are sketched, under an order-preserving dense relabel, and
+    the answers are scattered back (proof point 3 of
+    :func:`select_outgoing_edges`).  The relabel runs only when it at
+    least halves the grid; with most components occupied it would only
+    add copies.
+    """
+    nonzero = np.zeros(n_comp, dtype=bool)
+    out = SampleResult(
+        np.zeros(n_comp, dtype=bool),
+        np.full(n_comp, -1, dtype=np.int64),
+        np.zeros(n_comp, dtype=np.int64),
+    )
+    if comp.size == 0:
+        return nonzero, out
+    ctx = SketchContext(spec, slots, signs)
+    occupied = np.zeros(n_comp, dtype=bool)
+    occupied[comp] = True
+    n_occ = int(np.count_nonzero(occupied))
+    if 2 * n_occ > n_comp:
+        bundle = ctx.group_sums(comp, n_comp)
+        return bundle.nonzero_mask(), bundle.sample()
+    dense = np.cumsum(occupied) - 1  # component -> rank among occupied ones
+    bundle = ctx.group_sums(dense[comp], n_occ)
+    ids = np.flatnonzero(occupied)
+    nonzero[ids] = bundle.nonzero_mask()
+    sample = bundle.sample()
+    out.found[ids] = sample.found
+    out.slots[ids] = sample.slots
+    out.signs[ids] = sample.signs
+    return nonzero, out
 
 
 def _edge_weights(cluster: KMachineCluster, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

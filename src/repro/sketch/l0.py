@@ -43,6 +43,13 @@ mod-p value is formed only at read — level 0 in
 :attr:`SketchBundle.fps`.  Reduction mod p commutes with integer sums, so
 reading late yields the bytes eager reduction did (DESIGN.md §9.1).
 
+Fingerprint powers ``r^slot`` come from a base-``2^w`` digit table
+(:func:`_slot_power_table`) whose shape is chosen from the number of
+slots a call evaluates, so a late, small frontier pays for a few narrow
+rows rather than a table over all of ``[0, n)``.  Every table yields the
+canonical representative of the same field element, so the choice never
+shows in the output bytes.
+
 The segment reductions run through :mod:`repro.sketch.kernels` —
 ``np.bincount`` on the 30-bit halves (bit-exact in float64 below the 2^53
 horizon, with an automatic ``np.add.at`` fallback above it) and sort +
@@ -58,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sketch.edgespace import max_slot_bits
-from repro.sketch.field import MERSENNE_P, addmod, mulmod, powmod
+from repro.sketch.field import MERSENNE_P, addmod, mulmod
 from repro.sketch.kernels import group_rows, segment_sum
 from repro.sketch.kwise import batch_values
 from repro.util.rng import derive_seed
@@ -205,8 +212,9 @@ class SketchBundle:
     the bins a query reads are reduced (module docstring, "Exactness").
     ``SketchBundle(spec, counts, sums, fps)`` takes canonical ``fps`` in
     ``[0, p)`` and splits them into such a pair.  ``powers`` is the
-    ``(2R, n)`` table of the context that built the bundle (``None``:
-    :meth:`sample` verifies by direct powmod instead).
+    fingerprint power table of the context that built the bundle
+    (:func:`_slot_power_table`); a hand-built bundle has ``None`` and
+    :meth:`sample` builds a table sized to its candidates instead.
     """
 
     def __init__(
@@ -235,7 +243,7 @@ class SketchBundle:
         self.sums = sums  # int64 (G, R, L), exact signed slot-id sums
         self.fps_lo = fps_lo  # int64 (G, R, L), exact low-half accumulators
         self.fps_hi = fps_hi  # int64 (G, R, L), exact high-half accumulators
-        self.powers = powers  # uint64 (2R, n) power table, or None
+        self.powers = powers  # uint64 (D*R, 2^w) power table, or None
 
     @property
     def fps(self) -> np.ndarray:
@@ -320,10 +328,13 @@ class SketchBundle:
             return SampleResult(found, out_slot, out_sign)
         slots = slots.astype(np.uint64)
         # Verify every candidate in one batch: reduce just its fingerprint
-        # bin, and read r^slot from the context's power table (or direct
-        # powmod for a bundle without one).
+        # bin, and read r^slot from the context's power table (a bundle
+        # without one builds a table sized to its candidates).
         fps = _combine_halves(self.fps_lo[gi, ri, li], self.fps_hi[gi, ri, li])
-        expected = _slot_powers(self.spec, self.powers, ri, slots)
+        powers = self.powers
+        if powers is None:
+            powers = _slot_power_table(self.spec, gi.size)
+        expected = _slot_powers(self.spec, powers, ri, slots)
         neg = signs < 0
         exp_signed = expected.copy()
         exp_signed[neg] = (_P - expected[neg]) % _P
@@ -388,6 +399,11 @@ class SketchContext:
     incidences; because the computation is pointwise over incidences, the
     global precomputation used here is exactly the union of the local ones
     (no information crosses machines).
+
+    The context's fingerprint power table is sized to the slots it
+    evaluates (:func:`_slot_power_table`), and :meth:`group_sums` hands it
+    to every bundle it builds, so :meth:`SketchBundle.sample` verifies
+    candidates from the same table.
     """
 
     def __init__(self, spec: SketchSpec, slots: np.ndarray, signs: np.ndarray) -> None:
@@ -412,7 +428,7 @@ class SketchContext:
         # randomness (coefficients / PRF keys) is derived exactly as the
         # per-rep loop did, only the field arithmetic is 2-D.
         seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(r)]
-        self.powers = self._power_table(eval_slots.size)
+        self.powers = _slot_power_table(spec, eval_slots.size)
         reps = np.arange(r, dtype=np.int64)[:, None]
         # Descending thresholds T[l] = p >> l; depth = (#thresholds > h) - 1
         # with #{j < L: h < p >> j} = clip(61 - floor(log2(h + 1)), 0, L)
@@ -429,35 +445,6 @@ class SketchContext:
             fp = np.concatenate([fp, fp], axis=1)
         self.depths = depths
         self.fp_contrib = fp
-
-    def _power_table(self, total_slots: int) -> np.ndarray | None:
-        """The ``(2R, n)`` table ``[r^j; (r^n)^j]`` for ``total_slots``, or None.
-
-        ``slot = x*n + y`` with ``x, y < n`` gives
-        ``r^slot = (r^n)^x * r^y`` (:func:`_slot_powers`).  Each ``r^n``
-        comes from a scalar-exponent modpow on the R bases; both tables
-        (base rows and base^n rows) then build in a *single* stacked
-        doubling pass — O(R * n) mulmods over O(log n) vectorized passes
-        instead of O(R * E log n) powmods.  Bundles built by
-        :meth:`group_sums` carry the table on, so :meth:`SketchBundle.sample`
-        verifies its candidates with one gather and one mulmod each.
-
-        Small slot sets (the pruned late-phase frontier) skip the table
-        (``None``): below roughly ``E * log(n^2) < 2n`` element-
-        multiplications the direct batched square-and-multiply is cheaper
-        than building a table it would barely read.  Both paths compute
-        the canonical representative of the same field element
-        ``r^slot mod p``, so the choice is invisible in the output bytes
-        (pinned by the sketch exactness suites).
-        """
-        n = self.spec.n
-        if total_slots * 2 * max_slot_bits(n) < 2 * n:
-            return None
-        bases = _fingerprint_bases(self.spec)
-        # r^n per base via Python bigint modpow: at R elements the numpy
-        # square-and-multiply loop is pure dispatch overhead.
-        r_n = np.array([pow(int(b), n, MERSENNE_P) for b in bases], dtype=np.uint64)
-        return _power_table(np.concatenate([bases, r_n]), n)
 
     @property
     def n_incidences(self) -> int:
@@ -531,32 +518,75 @@ def _fingerprint_bases(spec: SketchSpec) -> np.ndarray:
     )
 
 
+def _digit_count(bits: int, evals: int) -> int:
+    """Digits D of the cheapest table for ``evals`` exponents of ``bits`` bits.
+
+    A table of D digit rows, each ``2^w`` wide with ``w = ceil(bits/D)``,
+    costs ``D * 2^w`` mulmods to build (per repetition) and ``D - 1``
+    mulmods per evaluated exponent; D minimises the sum (``min`` keeps the
+    smallest D on a tie).  A larger D with the same digit width is never
+    cheaper, so only the smallest D of each width is ever picked.
+    """
+    return min(range(1, bits + 1), key=lambda d: d * (1 << -(-bits // d)) + (d - 1) * evals)
+
+
+def _digit_table(spec: SketchSpec, digits: int) -> np.ndarray:
+    """The ``(D*R, 2^w)`` base-``2^w`` digit table of ``spec``'s bases.
+
+    Row ``i*R + rep`` holds ``(r_rep^(2^(w*i)))^j`` for ``j < 2^w``, with
+    ``w = ceil(max_slot_bits(n) / D)``, so ``r^slot`` is the product of
+    one entry per base-``2^w`` digit of ``slot`` (:func:`_slot_powers`).
+    The ``D*R`` row bases come from Python bigint ``pow`` (at that size
+    numpy is pure dispatch overhead); every row then doubles together in
+    one stacked :func:`_power_table` pass.
+    """
+    w = -(-max_slot_bits(spec.n) // digits)
+    bases = [int(b) for b in _fingerprint_bases(spec)]
+    rows = [pow(b, 1 << (w * i), MERSENNE_P) for i in range(digits) for b in bases]
+    return _power_table(np.array(rows, dtype=np.uint64), 1 << w)
+
+
+def _slot_power_table(spec: SketchSpec, evals: int) -> np.ndarray:
+    """The fingerprint power table sized to ``evals`` evaluated slots.
+
+    The table's build cost tracks the frontier: a late MST elimination
+    call over a few hundred slots gets a few narrow digit rows, a phase-1
+    call over the whole graph gets ``D = 2`` rows of width ``2^w >= n``
+    (exactly ``[r^j; (r^n)^j]`` when n is a power of two).  Every choice
+    yields the canonical representative of the same field element
+    ``r^slot mod p``, so it is invisible in the output bytes.
+    """
+    return _digit_table(spec, _digit_count(max_slot_bits(spec.n), evals))
+
+
 def _slot_powers(
-    spec: SketchSpec, powers: np.ndarray | None, reps: np.ndarray, slots: np.ndarray
+    spec: SketchSpec, powers: np.ndarray, reps: np.ndarray, slots: np.ndarray
 ) -> np.ndarray:
     """``r_rep^slot mod p``, elementwise over broadcast ``reps`` and ``slots``.
 
-    With the ``(2R, n)`` table of :meth:`SketchContext._power_table`,
-    ``slot = x*n + y`` reads ``(r^n)^x`` and ``r^y`` and multiplies them
-    once; without one (``None``) it is a direct batched powmod.  Both give
-    the canonical representative of the same field element.
+    ``powers`` is a :func:`_digit_table`: ``r^slot`` is the product over
+    the D base-``2^w`` digits ``s_i`` of ``slot`` of the row-``i`` entries
+    ``(r^(2^(w*i)))^(s_i)`` — D gathers and ``D - 1`` mulmods.
     """
-    if powers is None:
-        bits = max_slot_bits(spec.n)
-        return powmod(_fingerprint_bases(spec)[reps], slots, max_exp_bits=bits)
-    n = np.uint64(spec.n)
-    x = (slots // n).astype(np.int64)
-    y = (slots % n).astype(np.int64)
-    return mulmod(powers[reps + spec.repetitions, x], powers[reps, y])
+    r = spec.repetitions
+    width = powers.shape[1]
+    w = np.uint64(width.bit_length() - 1)
+    mask = np.uint64(width - 1)
+    out = powers[reps, (slots & mask).astype(np.int64)]
+    for i in range(1, powers.shape[0] // r):
+        digit = ((slots >> (w * np.uint64(i))) & mask).astype(np.int64)
+        out = mulmod(out, powers[reps + i * r, digit])
+    return out
 
 
 def _power_table(bases: np.ndarray, size: int) -> np.ndarray:
     """``table[i, j] = bases[i]^j mod p`` for ``j < size``, by doubling.
 
-    ``bases`` is ``uint64[R]``; O(R * size) field multiplications across
-    O(log size) vectorized passes, all R rows doubling together.  The
+    ``bases`` is ``uint64[B]`` (the ``D*R`` digit-row bases of
+    :func:`_digit_table`); O(B * size) field multiplications across
+    O(log size) vectorized passes, all B rows doubling together.  The
     per-doubling step values ``base^(2^k)`` are maintained as Python ints
-    (R bigint mulmods beat a whole numpy dispatch at that size).
+    (B bigint mulmods beat a whole numpy dispatch at that size).
     """
     bases = np.atleast_1d(np.asarray(bases, dtype=np.uint64))
     r = bases.shape[0]

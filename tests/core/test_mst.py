@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import KMachineCluster
+from repro.core import mst, outgoing
 from repro.core.mst import minimum_spanning_tree_distributed
 from repro.graphs import generators as gen
 from repro.graphs import reference as ref
+from repro.sketch.edgespace import decode_slot
 
 
 def run(g, k=8, seed=5, **kw):
@@ -107,6 +109,51 @@ class TestEliminationLoop:
         _, res = run(g, seed=13)
         for s in res.phase_stats:
             assert s.mwoe_uncertified == 0  # fixpoint mode certifies everything
+
+    def test_finished_components_sketch_nothing_on_negative_weights(self, monkeypatch):
+        # Weights -1..-m: every outgoing edge of a certified component is
+        # lighter than 0, so a finished component must be excluded by its
+        # bound itself, not by the sign of its weights.  Every sketch
+        # context a selection builds may hold only incidences owned by
+        # components still active in the elimination loop.
+        base = gen.with_unique_weights(gen.gnm_random(120, 420, seed=3), seed=3)
+        g = base.with_weights(-base.weights)
+        contexts = []
+
+        class SpyContext(outgoing.SketchContext):
+            def __init__(self, spec, slots, signs):
+                super().__init__(spec, slots, signs)
+                contexts.append((self.slots, self.signs))
+
+        calls = []
+        real_select = mst.select_outgoing_edges
+
+        def spy_select(cluster, shared, labels, phase, **kwargs):
+            before = len(contexts)
+            sel = real_select(cluster, shared, labels, phase, **kwargs)
+            calls.append((phase, labels.copy(), sel, contexts[before:]))
+            return sel
+
+        monkeypatch.setattr(outgoing, "SketchContext", SpyContext)
+        monkeypatch.setattr(mst, "select_outgoing_edges", spy_select)
+        _, res = run(g, seed=3)
+
+        assert res.certified
+        kr = ref.kruskal_mst(g)
+        assert edge_set(res.edges_u, res.edges_v) == edge_set(g.edges_u[kr], g.edges_v[kr])
+        assert res.total_weight == pytest.approx(ref.mst_weight(g, kr))
+        phase, checked = None, 0
+        for call_phase, labels, sel, ctxs in calls:
+            if call_phase != phase:
+                phase, active = call_phase, np.ones(sel.parts.n_components, dtype=bool)
+            finished = sel.parts.comp_labels[~active]
+            checked += finished.size
+            for slots, signs in ctxs:
+                lo, hi = decode_slot(g.n, slots)
+                owners = np.where(signs > 0, lo, hi)
+                assert not np.isin(labels[owners], finished).any()
+            active &= sel.sketch_nonzero
+        assert checked > 0  # components did finish before later iterations
 
 
 @given(

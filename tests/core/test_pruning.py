@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from repro import generators as gen
 from repro.cluster.cluster import KMachineCluster
 from repro.cluster.shared_random import SharedRandomness
+from repro.core import outgoing
 from repro.core.labels import initial_labels
 from repro.core.outgoing import select_outgoing_edges, sketch_prune_default
+from repro.graphs.graph import Graph
 from repro.runtime import ClusterConfig, RunConfig, Session
 
 #: name -> graph factory; spans dense random, high-diameter, and
@@ -155,3 +157,71 @@ def test_full_run_envelopes_identical(algorithm, family, seed):
         else:
             os.environ["REPRO_SKETCH_PRUNE"] = saved
     assert legacy == pruned
+
+
+def _with_isolated(g, extra: int):
+    """``g`` plus ``extra`` isolated vertices (components with no incidence)."""
+    return Graph.from_edges(g.n + extra, g.edges_u, g.edges_v, g.weights)
+
+
+@pytest.mark.parametrize(
+    "situation", ["mostly_empty", "none_survive", "all_occupied", "mostly_occupied"]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compaction_matches_legacy(situation, seed, monkeypatch):
+    """Sketching only occupied components is byte-invisible on both sides of the rule.
+
+    ``mostly_empty``: a third of the vertices are isolated and most of the
+    rest get a ``-inf`` bound, so fewer than half the components hold an
+    incidence and the relabelled grid is taken.  ``none_survive``: every
+    bound is ``-inf`` and no sketch context is built at all.
+    ``all_occupied``: phase 1 of a graph without isolated vertices, where
+    the full grid is kept.  ``mostly_occupied``: a seventh of the vertices
+    are isolated, too few for a relabel to halve the grid, so the full grid
+    is kept there as well.
+    """
+    g = gen.with_unique_weights(gen.gnm_random(60, 180, seed=seed), seed=seed)
+    if situation in ("mostly_empty", "mostly_occupied"):
+        g = _with_isolated(g, 30 if situation == "mostly_empty" else 10)
+    labels = initial_labels(g.n)
+    rng = np.random.default_rng(seed)
+    bound = None
+    if situation == "mostly_empty":
+        bound = np.where(rng.random(g.n) < 0.2, np.inf, -np.inf)
+    elif situation == "none_survive":
+        bound = np.full(g.n, -np.inf)
+    grids = []
+    real_group_sums = outgoing.SketchContext.group_sums
+
+    def spy_group_sums(self, group_idx, n_groups, mask=None):
+        grids.append(n_groups)
+        return real_group_sums(self, group_idx, n_groups, mask)
+
+    monkeypatch.setattr(outgoing.SketchContext, "group_sums", spy_group_sums)
+    states, ledgers = [], []
+    for prune in (False, True):
+        grids.clear()
+        cl = KMachineCluster.create(g, k=4, seed=seed)
+        shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
+        sel = select_outgoing_edges(
+            cl,
+            shared,
+            labels,
+            phase=1,
+            weight_bound_per_comp=bound,
+            want_weights=bound is not None,
+            prune=prune,
+        )
+        states.append(_selection_state(sel))
+        ledgers.append(_ledger_state(cl))
+    assert states[0] == states[1]
+    assert ledgers[0] == ledgers[1]
+    occupied = int(np.count_nonzero(sel.sketch_nonzero))
+    if situation == "mostly_empty":
+        assert 0 < occupied and grids == [occupied] and 2 * occupied <= g.n
+    elif situation == "none_survive":
+        assert grids == [] and occupied == 0
+    elif situation == "all_occupied":
+        assert grids == [g.n] and occupied == g.n
+    else:
+        assert grids == [g.n] and 2 * occupied > g.n and occupied < g.n

@@ -20,7 +20,17 @@ from hypothesis import strategies as st
 
 from repro.sketch.edgespace import max_slot_bits
 from repro.sketch.field import MERSENNE_P, powmod
-from repro.sketch.l0 import SampleResult, SketchBundle, SketchContext, SketchSpec
+from repro.sketch import l0
+from repro.sketch.l0 import (
+    SampleResult,
+    SketchBundle,
+    SketchContext,
+    SketchSpec,
+    _digit_count,
+    _digit_table,
+    _slot_power_table,
+    _slot_powers,
+)
 
 _P = np.uint64(MERSENNE_P)
 
@@ -167,20 +177,106 @@ def test_lazy_queries_match_eager(seed, family, n, m, mirrored, n_groups, masked
     _assert_queries_match_eager(hand_built.add(other))
 
 
-def test_both_verification_paths_are_exercised():
-    # The context's one kernel decision picks the path: a tiny frontier
-    # powmods directly (no table), a large one builds the (2R, n) table.
+def test_power_table_tracks_the_frontier():
+    # One verification path, with a table sized to the frontier: a tiny
+    # context gets narrow digit rows, a large one the two n-wide rows
+    # [r^j; (r^n)^j] (n a power of two) that every context used to build.
     n = 512
     rng = np.random.default_rng(7)
-    tiny = SketchContext(SketchSpec.for_graph(n, seed=1), *_incidences(rng, n, 3, True))
-    big = SketchContext(SketchSpec.for_graph(n, seed=1), *_incidences(rng, n, 400, True))
-    assert tiny.powers is None
-    assert big.powers is not None and big.powers.shape == (2 * 6, n)
+    spec = SketchSpec.for_graph(n, seed=1)
+    tiny = SketchContext(spec, *_incidences(rng, n, 3, True))
+    big = SketchContext(spec, *_incidences(rng, n, 1000, True))
+    assert tiny.powers.shape == (9 * 6, 4)  # 18 slot bits in 9 base-4 digits
+    assert big.powers.shape == (2 * 6, n)
+    bases = [spec.fingerprint_base(rep) for rep in range(6)]
+    r_n = [pow(b, n, MERSENNE_P) for b in bases]
+    for row, base in enumerate(bases + r_n):
+        assert [int(v) for v in big.powers[row, :40]] == [
+            pow(base, j, MERSENNE_P) for j in range(40)
+        ]
     for ctx in (tiny, big):
         groups = rng.integers(0, 5, size=ctx.n_incidences).astype(np.int64)
         bundle = ctx.group_sums(groups, 5)
+        assert bundle.powers is ctx.powers
         assert bundle.sample().found.any()
         _assert_queries_match_eager(bundle)
+
+
+def _bigint_powers(spec: SketchSpec, reps: np.ndarray, slots: np.ndarray) -> list[int]:
+    return [
+        pow(spec.fingerprint_base(int(rep)), int(slot), MERSENNE_P)
+        for rep, slot in zip(reps, slots)
+    ]
+
+
+#: The digit counts the size rule picks over all frontier sizes: a larger
+#: D with the same digit width is never cheaper, so those never appear.
+_RULE_DIGITS = {64: {1, 2, 3, 4, 6}, 100: {1, 2, 3, 4, 5, 7}}
+
+
+@pytest.mark.parametrize("n", [64, 100])  # a power of two and not
+def test_slot_powers_match_bigint_at_every_digit_count(n):
+    spec = SketchSpec.for_graph(n, seed=n, repetitions=3)
+    bits = max_slot_bits(n)
+    rng = np.random.default_rng(n)
+    slots = np.concatenate(
+        [[0, 1, n * n - 1], rng.integers(0, n * n, size=200)]
+    ).astype(np.uint64)
+    reps = rng.integers(0, 3, size=slots.size)
+    want = _bigint_powers(spec, reps, slots)
+    for digits in range(1, bits + 1):
+        table = _digit_table(spec, digits)
+        width = 1 << -(-bits // digits)
+        assert table.shape == (3 * digits, width)
+        assert [int(v) for v in _slot_powers(spec, table, reps, slots)] == want
+    # The tables the size rule builds, swept over frontier sizes that make
+    # it pick every digit count it ever picks.
+    picked = set()
+    for evals in [*range(300), *(1 << k for k in range(9, bits + 2))]:
+        picked.add(_digit_count(bits, evals))
+    assert picked == _RULE_DIGITS[n]
+    for digits in picked:
+        evals = next(e for e in range(1 << (bits + 1)) if _digit_count(bits, e) == digits)
+        table = _slot_power_table(spec, evals)
+        assert table.shape[0] == 3 * digits
+        assert [int(v) for v in _slot_powers(spec, table, reps, slots)] == want
+
+
+@pytest.mark.parametrize("n", [1 << 12, 1 << 14])
+def test_size_rule_keeps_the_n_wide_table_for_large_frontiers(n):
+    # The phase-1 calls of the large benchmark graphs (E = m = 4n slots)
+    # get D = 2 digits of width n: the table every call built before.
+    bits = max_slot_bits(n)
+    assert _digit_count(bits, 4 * n) == 2
+    assert 1 << -(-bits // 2) == n
+
+
+def test_hand_built_bundle_verifies_through_an_on_demand_table(monkeypatch):
+    n = 300
+    rng = np.random.default_rng(3)
+    spec = SketchSpec.for_graph(n, seed=9, repetitions=4)
+    ctx = SketchContext(spec, *_incidences(rng, n, 80, True))
+    groups = rng.integers(0, 6, size=ctx.n_incidences).astype(np.int64)
+    bundle = ctx.group_sums(groups, 6)
+    hand_built = SketchBundle(spec, bundle.counts, bundle.sums, bundle.fps)
+    assert hand_built.powers is None
+    built = []
+    real = l0._slot_power_table
+
+    def spy(spec_, evals):
+        built.append(evals)
+        return real(spec_, evals)
+
+    monkeypatch.setattr(l0, "_slot_power_table", spy)
+    got, want = hand_built.sample(), bundle.sample()
+    c = bundle.counts
+    slots = bundle.sums * c
+    candidates = ((np.abs(c) == 1) & (slots >= 0) & (slots < n * n)).sum()
+    assert built == [candidates]  # one table, sized to the candidates
+    assert hand_built.powers is None
+    assert want.found.any()
+    for a, b in zip((got.found, got.slots, got.signs), (want.found, want.slots, want.signs)):
+        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("family", ["polynomial", "prf"])
@@ -189,7 +285,8 @@ def test_forced_false_candidates_are_rejected(family, m):
     # Group 0 holds slots a + b - c with every incidence forced to the
     # deepest level: every (repetition, level) bin reads c == 1 and an
     # in-range id-sum, yet no bin is one-sparse.  The fingerprint check
-    # must reject every such candidate, on both verification paths.
+    # must reject every such candidate, from a narrow table (m = 3) and
+    # from a wide one (m = 300).
     n = 256
     a, b, c = 3 * n + 9, 5 * n + 40, 2 * n + 7
     rng = np.random.default_rng(m)
@@ -198,7 +295,7 @@ def test_forced_false_candidates_are_rejected(family, m):
     signs = np.concatenate([np.array([1, 1, -1], dtype=np.int64), filler_signs])
     spec = SketchSpec.for_graph(n, seed=11, repetitions=4, hash_family=family)
     ctx = SketchContext(spec, slots, signs)
-    assert (ctx.powers is None) == (m == 3)
+    assert ctx.powers.shape == ((4 * 8, 4) if m == 3 else (4 * 3, 64))
     ctx.depths[:, :3] = spec.levels - 1  # adversarial override
     groups = np.concatenate([np.zeros(3, dtype=np.int64), np.ones(m, dtype=np.int64)])
     bundle = ctx.group_sums(groups, 2)
