@@ -26,25 +26,13 @@ import math
 from repro.bench.registry import register_benchmark
 from repro.bench.runner import metrics_from_report
 from repro.core.dynamic import MaintainedForest, generate_batch
-from repro.graphs import generators
+from repro.corpus.families import sized_graph
 from repro.runtime.config import ClusterConfig, RunConfig
 from repro.runtime.session import Session
 from repro.scenarios.updates import UpdateBatch, UpdatePlan, batch_seed
 from repro.util.rng import derive_seed
 
 __all__: list[str] = []
-
-
-def _input_graph(n: int, seed: int, family: str):
-    """The benchmark input at size ``n``, with unique weights attached."""
-    gseed = derive_seed(seed, n, 0x5CE)
-    if family == "gnm":
-        g = generators.gnm_random(n, 3 * n, seed=gseed)
-    else:
-        g = generators.worst_case_graph(family, n, seed=gseed)
-    if not g.weighted:
-        g = generators.with_unique_weights(g, seed=gseed)
-    return g
 
 
 #: Update plans of one batch kind each, shared by both tiers: the benign
@@ -84,7 +72,7 @@ def _update_cost(cell: dict, seed: int) -> dict:
     n, k = int(cell["n"]), int(cell["k"])
     family, plan_name = str(cell["family"]), str(cell["plan"])
     plan = _UPDATE_PLANS[plan_name]
-    g = _input_graph(n, seed, family)
+    g = sized_graph(family, n, derive_seed(seed, n, 0x5CE), weighted=True)
     config = RunConfig(seed=seed, cluster=ClusterConfig(k=k), updates=plan)
     report = Session(g, config=config).run("mst_dynamic")
     res = report.result

@@ -53,6 +53,7 @@ import json
 import sys
 from typing import Sequence
 
+from repro.corpus.families import CORPUS_FAMILIES, SIZED_FAMILIES, sized_graph
 from repro.graphs import generators
 from repro.graphs.graph import Graph
 from repro.runtime import (
@@ -73,24 +74,6 @@ _CLUSTER_DEFAULTS = ClusterConfig()
 
 __all__ = ["main"]
 
-#: Graph families constructible from (n, m, seed) on the command line
-#: (the worst-case scenario families are addressable directly too).
-GRAPH_KINDS = (
-    "gnm",
-    "path",
-    "cycle",
-    "star",
-    "grid",
-    "powerlaw",
-    "geometric",
-    "lollipop",
-    "barbell",
-    "expander_bridge",
-    "disjoint_cliques",
-    "star_of_paths",
-)
-
-
 def _scenario_of(args: argparse.Namespace):
     """The resolved --scenario (or None), via the scenario registry."""
     name = getattr(args, "scenario", None)
@@ -101,54 +84,35 @@ def _scenario_of(args: argparse.Namespace):
     return get_scenario(name)
 
 
-def _corpus_params(args: argparse.Namespace, kind: str, n: int) -> dict:
-    """Map the flat CLI knobs onto a corpus family's declared parameters.
-
-    One dict per family — this is the single remaining piece of per-family
-    CLI knowledge; the builders themselves live behind the
-    :data:`~repro.corpus.families.CORPUS_FAMILIES` registry.
-    """
-    if kind == "gnm":
-        return {"n": n, "m": int(args.m if args.m is not None else 3 * n)}
-    if kind == "grid":
-        side = max(2, int(round(n**0.5)))
-        return {"rows": side, "cols": side}
-    if kind == "powerlaw":
-        return {"n": n, "attach": 2}
-    if kind == "geometric":
-        return {"n": n, "radius": float(args.radius)}
-    return {"n": n}
-
-
 def _build_graph(args: argparse.Namespace, seed: int, *, n: int | None = None) -> Graph:
     """Build the input graph named by ``--graph`` (size overridable for sweeps).
 
     With ``--scenario`` and no explicit ``--graph``, the scenario's graph
     family wins (an explicit ``--graph`` overrides it).  Every named kind
-    dispatches through the corpus family registry
-    (:data:`~repro.corpus.families.CORPUS_FAMILIES`), so CLI inputs obey
-    the same generator contract ``repro corpus`` materializes; weights are
-    overlaid here with the historical graph-seed semantics (the run seed
-    salts weights even on unseeded shape families).
+    resolves through :func:`~repro.corpus.families.sized_graph`, so CLI
+    inputs obey the same generator contract ``repro corpus`` materializes;
+    ``--m`` and ``--radius`` reach the families that declare them, and the
+    graph seed salts weights even on unseeded shape families.
     """
-    from repro.corpus.families import get_family
-
     n = int(args.n if n is None else n)
-    kind = args.graph
     gseed = args.graph_seed if args.graph_seed is not None else seed
-    scenario = _scenario_of(args)
-    if scenario is not None and kind is None:
-        g = scenario.make_graph(n, gseed)
-    else:
-        kind = "gnm" if kind is None else kind
-        family = get_family(kind)
-        g = family.generate(_corpus_params(args, kind, n), seed=gseed)
     params = dict(args.param or [])
     needs_weights = (
         args.weighted
         or get_algorithm(args.algorithm).requires_weights
         or bool(params.get("mst"))  # rep's MST variant needs weights too
     )
+    scenario = _scenario_of(args)
+    if scenario is None or args.graph is not None:
+        kind = args.graph or "gnm"
+        declared = {p.name for p in CORPUS_FAMILIES[kind].params}
+        overrides = {
+            key: value
+            for key, value in (("m", args.m), ("radius", args.radius))
+            if value is not None and key in declared
+        }
+        return sized_graph(kind, n, gseed, weighted=needs_weights, **overrides)
+    g = scenario.make_graph(n, gseed)
     if needs_weights and not g.weighted:
         g = generators.with_unique_weights(g, seed=gseed)
     return g
@@ -200,7 +164,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     graph = p.add_argument_group("graph construction")
     graph.add_argument(
         "--graph",
-        choices=GRAPH_KINDS,
+        choices=SIZED_FAMILIES,
         default=None,
         help="graph family (default gnm; overrides the --scenario family)",
     )

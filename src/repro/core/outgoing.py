@@ -19,20 +19,17 @@ label query additionally carries the sampled edge's weight.
 
 Late-phase pruning
 ------------------
-By default the step pre-filters *component-internal* incidence pairs and
+The step drops *component-internal* incidence pairs before sketching and
 sketches only the active frontier, grouping directly at component
 granularity, over only the components that keep an incidence.  These
 shortcuts are exact — the resulting component answers are byte-identical
-to the unpruned part-level pipeline (proof in
-:func:`select_outgoing_edges`), so every downstream decision, ledger
-charge, and committed baseline is unchanged; only the kernel work shrinks
-with the frontier.  ``REPRO_SKETCH_PRUNE=0`` (or ``prune=False``) restores
-the legacy execution path verbatim.
+to sketching every incidence per part and summing parts into components
+(proof in :func:`_sketch_components`), so every downstream decision and
+ledger charge is the paper's; only the kernel work shrinks with the
+frontier.
 """
 
 from __future__ import annotations
-
-import os
 
 from dataclasses import dataclass
 
@@ -47,20 +44,7 @@ from repro.sketch.edgespace import decode_slot
 from repro.sketch.l0 import SampleResult, SketchContext, SketchSpec
 from repro.util.bits import bits_for_id
 
-__all__ = ["OutgoingSelection", "select_outgoing_edges", "sketch_prune_default"]
-
-_PRUNE_ENV = "REPRO_SKETCH_PRUNE"
-_FALSY = ("0", "false", "off", "no")
-
-
-def sketch_prune_default() -> bool:
-    """Process-wide default for incidence pruning (``REPRO_SKETCH_PRUNE``).
-
-    Pruning is exact (see :func:`select_outgoing_edges`) and on by
-    default; the environment kill-switch exists so the legacy unpruned
-    pipeline stays runnable for speedup measurements and forensics.
-    """
-    return os.environ.get(_PRUNE_ENV, "1").strip().lower() not in _FALSY
+__all__ = ["OutgoingSelection", "select_outgoing_edges"]
 
 
 @dataclass(frozen=True)
@@ -114,7 +98,6 @@ def select_outgoing_edges(
     hash_family: str = "prf",
     weight_bound_per_comp: np.ndarray | None = None,
     want_weights: bool = False,
-    prune: bool | None = None,
     inc_cross: np.ndarray | None = None,
 ) -> OutgoingSelection:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
@@ -147,69 +130,18 @@ def select_outgoing_edges(
         incidence of the component.
     want_weights:
         If True, label-query replies carry the edge weight (64 extra bits).
-    prune:
-        Pre-filter component-internal incidences and sketch the surviving
-        frontier directly at component granularity.  ``None`` (default)
-        reads :func:`sketch_prune_default`; ``False`` runs the legacy
-        part-level pipeline verbatim.  **Exactness proof** — the pruned
-        component sketches are byte-identical to the unpruned ones:
-
-        1. *Internal pairs cancel.*  An edge ``{u, v}`` with
-           ``labels[u] == labels[v]`` appears as two incidences carrying
-           the same canonical slot with opposite signs (the min-endpoint
-           owner gets +1).  Equal slots receive the same per-repetition
-           sampling depth and the same fingerprint power ``r^slot``, so at
-           component granularity — where both incidences land in the same
-           group — every accumulator sees ``+x`` and ``-x`` of the *same
-           exact integer*: counts and id-sums are exact signed int64, and
-           the fingerprint accumulators are exact signed sums of 30-bit
-           halves reduced to the canonical representative mod
-           ``p = 2^61 - 1``.  Dropping the pair changes no accumulator
-           value.  Under an MST weight bound both halves share the owner
-           component, hence the same bound and the same edge weight, so
-           they are always kept or dropped *together* — surviving internal
-           incidences still cancel pairwise.
-        2. *Part grouping commutes with aggregation.*  Sketch linearity:
-           grouping incidences by part and then summing parts into
-           components (``aggregate``) produces exact int64 counts/sums and
-           canonical mod-p fingerprints of the same residues as grouping
-           the incidences by component directly, so the two pipelines emit
-           identical bytes and the part-level pass can be skipped.
-        3. *Empty components answer without a sketch.*  A component none
-           of whose incidences survives has an all-zero row: every count,
-           id-sum and fingerprint half is 0.  ``nonzero_mask`` reads its
-           level-0 fingerprints as 0 (``False``) and ``sample`` finds no
-           ``|count| == 1`` cell (``found=False``, ``slot=-1``,
-           ``sign=0``) — deterministically, not w.h.p.  Every other row
-           sums only its own component's incidences, and ``sample`` picks
-           per group from that group's cells alone, so sketching just the
-           occupied components under an order-preserving dense relabel
-           and scattering the answers back gives the same bytes.  When no
-           incidence survives at all (the MST's certifying last
-           iteration) no context is built.
-
-        Every downstream consumer (nonzero test, sample, label queries)
-        reads only the component bundle, and every ledger charge depends
-        only on the part/proxy structure and ``spec.message_bits`` — never
-        on sketch *contents* — so selections, rounds, and RunReport
-        envelopes are byte-identical either way.  Pinned by
-        ``tests/core/test_pruning.py``.
     inc_cross:
         Pre-computed ``labels[cluster.inc_owner] !=
         labels[cluster.inc_other]`` (must belong to ``labels``); recomputed
         if omitted.  Amortizable across iterations exactly like
-        ``inc_part``.  Ignored when pruning is off.
+        ``inc_part``.
     """
     n, k = cluster.n, cluster.k
     if parts is None:
         parts = PartIndex.build(labels, cluster.partition)
-    if prune is None:
-        prune = sketch_prune_default()
     seed = shared.sketch_seed(phase) if sketch_seed is None else sketch_seed
     spec = SketchSpec.for_graph(n, seed, repetitions=repetitions, hash_family=hash_family)
     shared.charge_sketch_seed_distribution(cluster.ledger, phase)
-
-    # 1. Local sketch construction per part (free local computation).
     if inc_part is None:
         inc_part = parts.part_of_vertex[cluster.inc_owner]
     bound = None
@@ -217,23 +149,9 @@ def select_outgoing_edges(
         bound = np.asarray(weight_bound_per_comp, dtype=np.float64)
         if bound.shape != (parts.n_components,):
             raise ValueError("weight_bound_per_comp must align with components")
-    if prune:
-        if inc_cross is None:
-            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
-        inc_comp = parts.comp_of_part[inc_part]
-        keep = inc_cross
-        if bound is not None:
-            keep = keep & (cluster.inc_weight < bound[inc_comp])
-        comp_group = inc_comp[keep]
-    else:
-        ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
-        mask = None
-        if bound is not None:
-            inc_comp = parts.comp_of_part[inc_part]
-            mask = cluster.inc_weight < bound[inc_comp]
-        part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
 
-    # 2. Ship part sketches to component proxies (Lemma 1 pattern).
+    # 1-2. Part sketches are local computation (free); ship them to the
+    # component proxies (Lemma 1 pattern).
     stream = shared.proxy_stream(phase, iteration)
     comp_proxy = proxy_of_labels(stream, parts.comp_labels, k)
     part_proxy = comp_proxy[parts.comp_of_part]
@@ -245,19 +163,11 @@ def select_outgoing_edges(
         spec.message_bits,
     )
 
-    # 3. Proxy-side combination and sampling (Lemma 2).  With pruning the
-    # frontier incidences are grouped at component granularity directly,
-    # over the occupied components only (byte-identical to
-    # part-then-aggregate; see the docstring proof).
+    # 3. Proxy-side combination and sampling (Lemma 2).
     c = parts.n_components
-    if prune:
-        nonzero, sample = _sketch_frontier(
-            spec, cluster.inc_slot[keep], cluster.inc_sign[keep], comp_group, c
-        )
-    else:
-        comp_bundle = part_bundle.aggregate(parts.comp_of_part, c)
-        nonzero = comp_bundle.nonzero_mask()
-        sample = comp_bundle.sample()
+    nonzero, sample = _sketch_components(
+        spec, cluster, labels, parts, inc_part, bound, inc_cross
+    )
     found = sample.found
 
     internal = np.full(c, -1, dtype=np.int64)
@@ -302,20 +212,71 @@ def select_outgoing_edges(
     )
 
 
-def _sketch_frontier(
-    spec: SketchSpec, slots: np.ndarray, signs: np.ndarray, comp: np.ndarray, n_comp: int
+def _sketch_components(
+    spec: SketchSpec,
+    cluster: KMachineCluster,
+    labels: np.ndarray,
+    parts: PartIndex,
+    inc_part: np.ndarray,
+    bound: np.ndarray | None,
+    inc_cross: np.ndarray | None,
 ) -> tuple[np.ndarray, SampleResult]:
-    """Nonzero mask and sample of ``n_comp`` component sketches.
+    """Nonzero mask and sample of every component's sketch (Lemma 2).
 
-    Incidence ``i`` belongs to component ``comp[i]``.  A component with no
-    incidence reads as an all-zero sketch row (``nonzero=False``,
-    ``found=False``, ``slot=-1``, ``sign=0``), so only the occupied
-    components are sketched, under an order-preserving dense relabel, and
-    the answers are scattered back (proof point 3 of
-    :func:`select_outgoing_edges`).  The relabel runs only when it at
-    least halves the grid; with most components occupied it would only
-    add copies.
+    The component sketch sums its parts' sketches over the component's
+    incidences (those lighter than ``bound``, when given).  Only the live
+    frontier is sketched, grouped directly by component, over only the
+    occupied components under an order-preserving dense relabel; the
+    relabel runs only when it at least halves the grid.  **Exactness
+    proof** — the answers are byte-identical to sketching every incidence
+    per part and summing parts with ``aggregate``:
+
+    1. *Internal pairs cancel.*  An edge ``{u, v}`` with
+       ``labels[u] == labels[v]`` appears as two incidences carrying the
+       same canonical slot with opposite signs (the min-endpoint owner
+       gets +1).  Equal slots receive the same per-repetition sampling
+       depth and the same fingerprint power ``r^slot``, so at component
+       granularity — where both incidences land in the same group — every
+       accumulator sees ``+x`` and ``-x`` of the *same exact integer*:
+       counts and id-sums are exact signed int64, and the fingerprint
+       accumulators are exact signed sums of 30-bit halves reduced to the
+       canonical representative mod ``p = 2^61 - 1``.  Dropping the pair
+       changes no accumulator value.  Under an MST weight bound both
+       halves share the owner component, hence the same bound and the
+       same edge weight, so they are always kept or dropped *together* —
+       surviving internal incidences still cancel pairwise.
+    2. *Part grouping commutes with aggregation.*  Sketch linearity:
+       grouping incidences by part and then summing parts into components
+       produces exact int64 counts/sums and canonical mod-p fingerprints
+       of the same residues as grouping the incidences by component
+       directly, so the part-level pass can be skipped.
+    3. *Empty components answer without a sketch.*  A component none of
+       whose incidences survives has an all-zero row: every count, id-sum
+       and fingerprint half is 0.  ``nonzero_mask`` reads its level-0
+       fingerprints as 0 (``False``) and ``sample`` finds no
+       ``|count| == 1`` cell (``found=False``, ``slot=-1``, ``sign=0``) —
+       deterministically, not w.h.p.  Every other row sums only its own
+       component's incidences, and ``sample`` picks per group from that
+       group's cells alone, so sketching just the occupied components and
+       scattering the answers back gives the same bytes.  When no
+       incidence survives at all (the MST's certifying last iteration) no
+       context is built.
+
+    Every downstream consumer (nonzero test, sample, label queries) reads
+    only these answers, and every ledger charge depends only on the
+    part/proxy structure and ``spec.message_bits`` — never on sketch
+    *contents* — so selections, rounds, and RunReport envelopes equal the
+    part-level pipeline's.  Pinned against that pipeline, kept as the
+    reference oracle, by ``tests/core/test_pruning.py``.
     """
+    if inc_cross is None:
+        inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+    inc_comp = parts.comp_of_part[inc_part]
+    keep = inc_cross
+    if bound is not None:
+        keep = keep & (cluster.inc_weight < bound[inc_comp])
+    comp = inc_comp[keep]
+    n_comp = parts.n_components
     nonzero = np.zeros(n_comp, dtype=bool)
     out = SampleResult(
         np.zeros(n_comp, dtype=bool),
@@ -324,7 +285,7 @@ def _sketch_frontier(
     )
     if comp.size == 0:
         return nonzero, out
-    ctx = SketchContext(spec, slots, signs)
+    ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
     occupied = np.zeros(n_comp, dtype=bool)
     occupied[comp] = True
     n_occ = int(np.count_nonzero(occupied))

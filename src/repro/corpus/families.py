@@ -13,16 +13,20 @@ Snippet 1) applied to :mod:`repro.graphs.generators`: every family
 * **respects seeds, or declares it doesn't** — ``seeded=True`` families
   must produce distinct graphs for distinct seeds, while
   ``seeded=False`` families normalize every seed to 0 *before* the
-  builder runs (the contract :class:`~repro.graphs.generators.WorstCaseFamily`
-  introduced, now enforced uniformly — including for the plain random
-  families that previously had no registry entry at all).
+  builder runs.
 
 :data:`CORPUS_FAMILIES` wraps every generator in the repository: the
 named deterministic builders (``path`` .. ``grid``), the worst-case
-registry, the random families (``gnm`` .. ``random_tree``), the planted
+families (``lollipop`` .. ``star_of_paths``, sized from one requested
+n), the random families (``gnm`` .. ``random_tree``), the planted
 constructions, and the Figure-1 lower-bound graph.  Each family also
 accepts a ``weighted`` flag (unique weights seeded by the family's
 normalized seed) so one corpus entry can feed MST and connectivity alike.
+
+:func:`sized_graph` is the one graph identity for inputs named by a family
+and a vertex count: the CLI's ``--graph``, the service's ``family``, a
+scenario's family axis and the bench suites all build through it, over
+the :data:`SIZED_FAMILIES` subset of the registry.
 """
 
 from __future__ import annotations
@@ -40,10 +44,12 @@ __all__ = [
     "CORPUS_FAMILIES",
     "CorpusFamily",
     "CorpusParam",
+    "SIZED_FAMILIES",
     "format_value",
     "get_family",
     "list_families",
     "parse_spec",
+    "sized_graph",
 ]
 
 
@@ -258,14 +264,36 @@ def _build_lower_bound(*, seed: int, bits: int) -> Graph:
     return g
 
 
-def _worst_case(name: str) -> Callable[..., Graph]:
-    """A worst-case registry entry as a corpus builder (same seed contract)."""
-    entry = generators.WORST_CASE_FAMILIES[name]
+# The worst-case families scale their shape parameters from one requested
+# n, rounding to their natural granularity (whole cliques, whole arms).
 
-    def _build(*, seed: int, n: int) -> Graph:
-        return entry.build(n, seed)
 
-    return _build
+def _build_lollipop(*, seed: int, n: int) -> Graph:
+    del seed
+    clique = max(2, n // 2)
+    return generators.lollipop(clique, max(1, n - clique))
+
+
+def _build_barbell(*, seed: int, n: int) -> Graph:
+    del seed
+    clique = max(2, n // 3)
+    return generators.barbell(clique, max(1, n - 2 * clique + 1))
+
+
+def _build_expander_bridge(*, seed: int, n: int) -> Graph:
+    return generators.expander_bridge(max(8, n), seed=seed)
+
+
+def _build_disjoint_cliques(*, seed: int, n: int) -> Graph:
+    del seed
+    size = max(2, int(np.sqrt(n)))
+    return generators.disjoint_cliques(max(1, n // size), size)
+
+
+def _build_star_of_paths(*, seed: int, n: int) -> Graph:
+    del seed
+    arms = max(1, int(np.sqrt(n)))
+    return generators.star_of_paths(arms, max(1, (n - 1) // arms))
 
 
 def _int_param(name: str, default: int) -> CorpusParam:
@@ -311,34 +339,32 @@ CORPUS_FAMILIES: dict[str, CorpusFamily] = {
             params=(_int_param("rows", 16), _int_param("cols", 16)),
             builder=_build_grid, grid=({"rows": 14, "cols": 14},),
         ),
-        # The worst-case registry, under the same (already enforced) contract.
+        # Worst-case families (the scenario engine's input axis).
         CorpusFamily(
-            "lollipop", generators.WORST_CASE_FAMILIES["lollipop"].summary,
+            "lollipop", "clique with a path tail: dense core, Theta(n) diameter",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("lollipop"), grid=_n_grid(192),
+            builder=_build_lollipop, grid=_n_grid(192),
         ),
         CorpusFamily(
-            "barbell", generators.WORST_CASE_FAMILIES["barbell"].summary,
+            "barbell", "two cliques joined by a path: one forced slow merge",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("barbell"), grid=_n_grid(192),
+            builder=_build_barbell, grid=_n_grid(192),
         ),
         CorpusFamily(
-            "expander_bridge",
-            generators.WORST_CASE_FAMILIES["expander_bridge"].summary,
+            "expander_bridge", "two seeded expanders joined by a single bridge edge",
             seeded=True, params=(_int_param("n", 256),),
-            builder=_worst_case("expander_bridge"), grid=_n_grid(192),
+            builder=_build_expander_bridge, grid=_n_grid(192),
         ),
         CorpusFamily(
             "disjoint_cliques",
-            generators.WORST_CASE_FAMILIES["disjoint_cliques"].summary,
+            "~sqrt(n) cliques of ~sqrt(n): many components, no merging",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("disjoint_cliques"), grid=_n_grid(192),
+            builder=_build_disjoint_cliques, grid=_n_grid(192),
         ),
         CorpusFamily(
-            "star_of_paths",
-            generators.WORST_CASE_FAMILIES["star_of_paths"].summary,
+            "star_of_paths", "~sqrt(n) paths glued at a hub: high diameter, hot center",
             seeded=False, params=(_int_param("n", 256),),
-            builder=_worst_case("star_of_paths"), grid=_n_grid(192),
+            builder=_build_star_of_paths, grid=_n_grid(192),
         ),
         # Random families — previously outside any registry, so their
         # seed-respecting behavior was an untested accident (ISSUE 9).
@@ -426,3 +452,54 @@ def get_family(name: str) -> CorpusFamily:
             f"unknown corpus family {name!r}; "
             f"available: {', '.join(sorted(CORPUS_FAMILIES))}"
         ) from None
+
+
+#: The families :func:`sized_graph` builds from one vertex count — the
+#: choices of ``repro run --graph``, of a service request's ``family`` and
+#: of a scenario's family axis.
+SIZED_FAMILIES = (
+    "gnm",
+    "path",
+    "cycle",
+    "star",
+    "grid",
+    "powerlaw",
+    "geometric",
+    "lollipop",
+    "barbell",
+    "expander_bridge",
+    "disjoint_cliques",
+    "star_of_paths",
+)
+
+
+def sized_graph(
+    name: str, n: int, seed: int, *, weighted: bool = False, **params
+) -> Graph:
+    """Build :data:`SIZED_FAMILIES` member ``name`` at (approximate) size ``n``.
+
+    Size rules: ``gnm`` gets ``m = 3n``, ``grid`` the nearest square
+    (``rows = cols = max(2, round(sqrt(n)))``), every other family
+    ``n`` itself; ``params`` override them (the CLI's ``--m`` and
+    ``--radius``).  The graph is built by ``CORPUS_FAMILIES[name]`` under
+    its seed contract, and ``weighted=True`` overlays unique weights
+    salted by ``seed`` as passed — not the normalized seed — so the seed
+    varies the weights even on unseeded shape families.  Callers derive
+    ``seed`` themselves (service and scenarios ``derive_seed(seed,
+    0x5CE0)``, the CLI ``--graph-seed`` or the run seed).
+    """
+    if name not in SIZED_FAMILIES:
+        raise KeyError(
+            f"unknown graph family {name!r}; available: {', '.join(SIZED_FAMILIES)}"
+        )
+    if name == "gnm":
+        sized = {"n": n, "m": 3 * n}
+    elif name == "grid":
+        side = max(2, int(round(n**0.5)))
+        sized = {"rows": side, "cols": side}
+    else:
+        sized = {"n": n}
+    g = CORPUS_FAMILIES[name].generate({**sized, **params}, seed=seed)
+    if weighted and not g.weighted:
+        g = generators.with_unique_weights(g, seed=seed)
+    return g

@@ -3,9 +3,10 @@
 A :class:`Scenario` bundles the adversarial axes the ROADMAP's
 "as many scenarios as you can imagine" demands:
 
-* a **graph family** — one of the worst-case families in
-  :data:`repro.graphs.generators.WORST_CASE_FAMILIES` (or a benign
-  ``gnm`` default for fault-only scenarios),
+* a **graph family** — one of
+  :data:`repro.corpus.families.SIZED_FAMILIES`, typically a worst-case
+  shape such as ``lollipop`` (or a benign ``gnm`` default for fault-only
+  scenarios),
 * a **partition scheme** — a :class:`~repro.cluster.partition.PartitionConfig`
   placement (uniform / powerlaw / locality / adversarial_heavy),
 * a **fault plan** — a :class:`~repro.scenarios.faults.FaultPlan` for the
@@ -19,7 +20,8 @@ A :class:`Scenario` bundles the adversarial axes the ROADMAP's
 Scenarios are pure *configuration*: :meth:`Scenario.apply` overlays the
 specified axes onto any :class:`~repro.runtime.config.RunConfig`
 (leaving everything else untouched), and :meth:`Scenario.make_graph`
-builds the input at a requested size.  ``Session.run(...,
+builds the input at a requested size through
+:func:`~repro.corpus.families.sized_graph`.  ``Session.run(...,
 scenario=...)``, ``Session.sweep(..., scenario=...)`` and the CLI
 (``repro run --scenario``, ``repro scenarios list``) all resolve names
 through this registry; tests register ad-hoc scenarios the same way.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.partition import PartitionConfig
-from repro.graphs import generators
+from repro.corpus.families import SIZED_FAMILIES, sized_graph
 from repro.graphs.graph import Graph
 from repro.runtime.config import RunConfig
 from repro.scenarios.churn import ChurnEvent, ChurnPlan
@@ -52,8 +54,8 @@ class Scenario:
     name / summary:
         Registry name and a one-line description for listings.
     family:
-        Graph-family axis: a :data:`~repro.graphs.generators.WORST_CASE_FAMILIES`
-        key, or ``None`` when the scenario does not constrain the input —
+        Graph-family axis: a :data:`~repro.corpus.families.SIZED_FAMILIES`
+        name, or ``None`` when the scenario does not constrain the input —
         a family-less scenario (faults/skew only) runs on whatever graph
         the caller supplies, falling back to benign G(n, 3n) when asked
         to build one.
@@ -84,14 +86,9 @@ class Scenario:
 
     def make_graph(self, n: int, seed: int = 0) -> Graph:
         """Build this scenario's input graph at (approximate) size ``n``."""
-        gseed = derive_seed(seed, 0x5CE0)
-        if self.family is None:
-            g = generators.gnm_random(n, 3 * n, seed=gseed)
-        else:
-            g = generators.worst_case_graph(self.family, n, seed=gseed)
-        if self.weighted and not g.weighted:
-            g = generators.with_unique_weights(g, seed=gseed)
-        return g
+        return sized_graph(
+            self.family or "gnm", n, derive_seed(seed, 0x5CE0), weighted=self.weighted
+        )
 
     def to_dict(self) -> dict:
         """The full plan as JSON-ready data (``repro scenarios show``).
@@ -136,9 +133,18 @@ class Scenario:
 
 
 def register_scenario(scenario: Scenario) -> Scenario:
-    """Register ``scenario`` under its name; duplicate names are rejected."""
+    """Register ``scenario`` under its name.
+
+    Duplicate names and graph families outside
+    :data:`~repro.corpus.families.SIZED_FAMILIES` are rejected.
+    """
     if scenario.name in _REGISTRY:
         raise ValueError(f"scenario {scenario.name!r} is already registered")
+    if scenario.family is not None and scenario.family not in SIZED_FAMILIES:
+        raise ValueError(
+            f"scenario {scenario.name!r} names unknown graph family "
+            f"{scenario.family!r}; available: {', '.join(SIZED_FAMILIES)}"
+        )
     scenario.partition.validate()
     if scenario.faults is not None:
         scenario.faults.validate()

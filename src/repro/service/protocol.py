@@ -13,8 +13,9 @@ server executes it, the load generator draws seeded mixes of it, and its
 :meth:`~RunRequest.cluster_key` — the canonical *(graph family | scenario,
 n, seed, k, partition scheme, epoch)* identity — is what in-flight
 coalescing, key-affinity dispatch and the hit-rate accounting all key on.
-The graph/config construction here mirrors ``Session.run``'s scenario path
-byte-for-byte (same seed derivation, same overlay semantics), which is
+Graph construction resolves through the same
+:func:`~repro.corpus.families.sized_graph` call as ``Session.run``'s
+scenario path (same seed derivation, same overlay semantics), which is
 what makes a served envelope identical to an uncoalesced local run —
 pinned by ``tests/service/test_server.py``.
 """
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.cluster.partition import PARTITION_SCHEMES, PartitionConfig
-from repro.graphs import generators
+from repro.corpus.families import SIZED_FAMILIES, sized_graph
 from repro.graphs.graph import Graph
 from repro.runtime.config import ClusterConfig, RunConfig
 from repro.util.rng import derive_seed
@@ -37,7 +38,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "ProtocolError",
     "RunRequest",
-    "SERVICE_FAMILIES",
     "encode_frame",
     "read_frame",
     "write_frame",
@@ -49,11 +49,6 @@ __all__ = [
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
-
-#: Graph families a request may name directly (scenarios may add theirs).
-SERVICE_FAMILIES = ("gnm", "path", "cycle", "star", "grid") + tuple(
-    sorted(generators.WORST_CASE_FAMILIES)
-)
 
 
 class ProtocolError(ValueError):
@@ -107,7 +102,8 @@ class RunRequest:
     algorithm:
         Runtime-registry name to execute (``repro list``).
     family:
-        Input graph family (:data:`SERVICE_FAMILIES`); ``None`` means the
+        Input graph family, one of
+        :data:`~repro.corpus.families.SIZED_FAMILIES`; ``None`` means the
         scenario's family, falling back to benign ``gnm`` — exactly the
         precedence of ``Session.run(scenario=...)``.
     scenario:
@@ -164,9 +160,9 @@ class RunRequest:
         """Raise :class:`ProtocolError` on the first invalid field."""
         if not isinstance(self.algorithm, str) or not self.algorithm:
             raise ProtocolError(f"algorithm must be a non-empty string, got {self.algorithm!r}")
-        if self.family is not None and self.family not in SERVICE_FAMILIES:
+        if self.family is not None and self.family not in SIZED_FAMILIES:
             raise ProtocolError(
-                f"family must be one of {SERVICE_FAMILIES} or null, got {self.family!r}"
+                f"family must be one of {SIZED_FAMILIES} or null, got {self.family!r}"
             )
         if self.scenario is not None and not isinstance(self.scenario, str):
             raise ProtocolError(f"scenario must be a string or null, got {self.scenario!r}")
@@ -347,9 +343,10 @@ class RunRequest:
         weights if the algorithm requires them — weights are part of the
         materialized input, not overlaid per request.  A scenario request
         delegates to ``Scenario.make_graph`` (so the envelope matches
-        ``Session.run(scenario=...)`` byte-for-byte); a plain family uses
-        the same ``derive_seed(seed, 0x5CE0)`` graph-seed derivation,
-        making ``family="lollipop"`` identical to an ad-hoc
+        ``Session.run(scenario=...)`` byte-for-byte); a plain family calls
+        :func:`~repro.corpus.families.sized_graph` with the same
+        ``derive_seed(seed, 0x5CE0)`` graph seed, making
+        ``family="lollipop"`` identical to an ad-hoc
         ``Scenario(family="lollipop")``.
         """
         if self.corpus is not None:
@@ -374,25 +371,12 @@ class RunRequest:
         sc = self.resolved_scenario()
         if sc is not None and self.family is None:
             return sc.make_graph(self.n, self.seed)
-        gseed = derive_seed(self.seed, 0x5CE0)
-        family = self.family or "gnm"
-        if family == "gnm":
-            g = generators.gnm_random(self.n, 3 * self.n, seed=gseed)
-        elif family == "path":
-            g = generators.path_graph(self.n)
-        elif family == "cycle":
-            g = generators.cycle_graph(self.n)
-        elif family == "star":
-            g = generators.star_graph(self.n)
-        elif family == "grid":
-            side = max(2, int(round(self.n**0.5)))
-            g = generators.grid2d(side, side)
-        else:
-            g = generators.worst_case_graph(family, self.n, seed=gseed)
-        needs_weights = self.weighted or _requires_weights(self.algorithm)
-        if needs_weights and not g.weighted:
-            g = generators.with_unique_weights(g, seed=gseed)
-        return g
+        return sized_graph(
+            self.family or "gnm",
+            self.n,
+            derive_seed(self.seed, 0x5CE0),
+            weighted=self.weighted or _requires_weights(self.algorithm),
+        )
 
 
 def _requires_weights(algorithm: str) -> bool:

@@ -1,17 +1,20 @@
 """Property suite: late-phase incidence pruning is byte-invisible.
 
-``select_outgoing_edges(prune=True)`` drops component-internal incidence
-pairs before sketching; the docstring in :mod:`repro.core.outgoing`
-proves their contributions cancel exactly, so the pruned and legacy
-paths must agree on every output byte — selections, ledger charges, and
-full-run envelopes — across graph families x seeds x phase depths.
-Hypothesis drives the family/seed/phase axes; any counterexample it
-finds is a hole in the cancellation proof, not measurement noise.
+``select_outgoing_edges`` drops component-internal incidence pairs before
+sketching and sketches only occupied components; the docstring of
+:func:`repro.core.outgoing._sketch_components` proves this exact.  The
+reference oracle here is the unpruned pipeline — sketch every incidence
+per part, then ``aggregate`` parts into components — swapped in through
+that one seam, so the pruned and reference paths must agree on every
+output byte — selections, ledger charges, and full-run envelopes — across
+graph families x seeds x phase depths.  Hypothesis drives the
+family/seed/phase axes; any counterexample it finds is a hole in the
+cancellation proof, not measurement noise.
 """
 
 from __future__ import annotations
 
-import os
+import contextlib
 
 import numpy as np
 import pytest
@@ -23,9 +26,10 @@ from repro.cluster.cluster import KMachineCluster
 from repro.cluster.shared_random import SharedRandomness
 from repro.core import outgoing
 from repro.core.labels import initial_labels
-from repro.core.outgoing import select_outgoing_edges, sketch_prune_default
+from repro.core.outgoing import select_outgoing_edges
 from repro.graphs.graph import Graph
 from repro.runtime import ClusterConfig, RunConfig, Session
+from repro.sketch.l0 import SketchContext
 
 #: name -> graph factory; spans dense random, high-diameter, and
 #: multi-component families (the late-phase shapes differ in each).
@@ -37,6 +41,44 @@ FAMILIES = {
         [gen.path_graph(30), gen.cycle_graph(30), gen.gnm_random(30, 60, seed=seed)]
     ),
 }
+
+
+def _part_then_aggregate(spec, cluster, labels, parts, inc_part, bound, inc_cross):
+    """The reference oracle: every incidence sketched per part, parts summed.
+
+    Same signature and answers as ``outgoing._sketch_components``; no
+    internal-pair filter, no occupied-component relabel.
+    """
+    del labels, inc_cross  # the oracle sketches internal pairs too
+    mask = None
+    if bound is not None:
+        mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
+    ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
+    part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
+    comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
+    return comp_bundle.nonzero_mask(), comp_bundle.sample()
+
+
+@contextlib.contextmanager
+def _reference_pipeline():
+    """Route every selection (and so every run) through the oracle."""
+    calls = []
+
+    def oracle(*args):
+        calls.append(1)
+        return _part_then_aggregate(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(outgoing, "_sketch_components", oracle)
+        yield
+    assert calls, "the reference oracle never ran"
+
+
+def _both(fn) -> tuple:
+    """``fn()`` under the reference oracle, then on the production path."""
+    with _reference_pipeline():
+        reference = fn()
+    return reference, fn()
 
 
 def _selection_state(sel) -> tuple:
@@ -89,19 +131,20 @@ def _merge(labels: np.ndarray, sel) -> np.ndarray:
 )
 @settings(max_examples=25, deadline=None)
 def test_selection_bytes_identical_across_phases(family, seed, phases):
-    """Pruned == legacy at every phase of a Boruvka-style label evolution."""
+    """Pruned == reference at every phase of a Boruvka-style label evolution."""
     g = FAMILIES[family](seed)
     labels = initial_labels(g.n)
     for phase in range(1, phases + 1):
-        states, ledgers = [], []
-        for prune in (False, True):
+
+        def select():
             cl = KMachineCluster.create(g, k=4, seed=seed)
             shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
-            sel = select_outgoing_edges(cl, shared, labels, phase=phase, prune=prune)
-            states.append(_selection_state(sel))
-            ledgers.append(_ledger_state(cl))
-        assert states[0] == states[1], f"selection diverged at phase {phase}"
-        assert ledgers[0] == ledgers[1], f"ledger charges diverged at phase {phase}"
+            sel = select_outgoing_edges(cl, shared, labels, phase=phase)
+            return sel, _selection_state(sel), _ledger_state(cl)
+
+        (_, ref_state, ref_ledger), (sel, state, ledger) = _both(select)
+        assert ref_state == state, f"selection diverged at phase {phase}"
+        assert ref_ledger == ledger, f"ledger charges diverged at phase {phase}"
         labels = _merge(labels, sel)
         if np.unique(labels).size == 1:
             break
@@ -117,46 +160,33 @@ def test_selection_identical_under_weight_bound(seed):
     n_comp = np.unique(labels).size
     rng = np.random.default_rng(seed)
     bound = rng.uniform(0.2, 1.0, size=n_comp)
-    states = []
-    for prune in (False, True):
+
+    def select():
         cl = KMachineCluster.create(g, k=4, seed=seed)
         shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
-        sel = select_outgoing_edges(
-            cl,
-            shared,
-            labels,
-            phase=2,
-            weight_bound_per_comp=bound,
-            want_weights=True,
-            prune=prune,
+        return _selection_state(
+            select_outgoing_edges(
+                cl, shared, labels, phase=2, weight_bound_per_comp=bound, want_weights=True
+            )
         )
-        states.append(_selection_state(sel))
-    assert states[0] == states[1]
+
+    reference, pruned = _both(select)
+    assert reference == pruned
 
 
 @pytest.mark.parametrize("algorithm", ["connectivity", "mst"])
 @given(family=st.sampled_from(sorted(FAMILIES)), seed=st.integers(min_value=0, max_value=20))
 @settings(max_examples=10, deadline=None)
 def test_full_run_envelopes_identical(algorithm, family, seed):
-    """End to end: REPRO_SKETCH_PRUNE=0 and the default produce the same bytes."""
+    """End to end: the reference oracle and production give the same bytes."""
     g = FAMILIES[family](seed)
     if algorithm == "mst":
         g = gen.with_unique_weights(g, seed=seed)
     cfg = RunConfig(seed=seed, cluster=ClusterConfig(k=4))
-    saved = os.environ.get("REPRO_SKETCH_PRUNE")
-    try:
-        os.environ["REPRO_SKETCH_PRUNE"] = "0"
-        assert not sketch_prune_default()
-        legacy = Session(g, config=cfg).run(algorithm).to_json(include_timing=False)
-        os.environ.pop("REPRO_SKETCH_PRUNE")
-        assert sketch_prune_default()
-        pruned = Session(g, config=cfg).run(algorithm).to_json(include_timing=False)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_SKETCH_PRUNE", None)
-        else:
-            os.environ["REPRO_SKETCH_PRUNE"] = saved
-    assert legacy == pruned
+    reference, pruned = _both(
+        lambda: Session(g, config=cfg).run(algorithm).to_json(include_timing=False)
+    )
+    assert reference == pruned
 
 
 def _with_isolated(g, extra: int):
@@ -168,7 +198,7 @@ def _with_isolated(g, extra: int):
     "situation", ["mostly_empty", "none_survive", "all_occupied", "mostly_occupied"]
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_compaction_matches_legacy(situation, seed, monkeypatch):
+def test_compaction_matches_reference(situation, seed, monkeypatch):
     """Sketching only occupied components is byte-invisible on both sides of the rule.
 
     ``mostly_empty``: a third of the vertices are isolated and most of the
@@ -191,15 +221,15 @@ def test_compaction_matches_legacy(situation, seed, monkeypatch):
     elif situation == "none_survive":
         bound = np.full(g.n, -np.inf)
     grids = []
-    real_group_sums = outgoing.SketchContext.group_sums
+    real_group_sums = SketchContext.group_sums
 
     def spy_group_sums(self, group_idx, n_groups, mask=None):
         grids.append(n_groups)
         return real_group_sums(self, group_idx, n_groups, mask)
 
-    monkeypatch.setattr(outgoing.SketchContext, "group_sums", spy_group_sums)
-    states, ledgers = [], []
-    for prune in (False, True):
+    monkeypatch.setattr(SketchContext, "group_sums", spy_group_sums)
+
+    def select():
         grids.clear()
         cl = KMachineCluster.create(g, k=4, seed=seed)
         shared = SharedRandomness(master_seed=seed, n=g.n, k=4)
@@ -210,12 +240,11 @@ def test_compaction_matches_legacy(situation, seed, monkeypatch):
             phase=1,
             weight_bound_per_comp=bound,
             want_weights=bound is not None,
-            prune=prune,
         )
-        states.append(_selection_state(sel))
-        ledgers.append(_ledger_state(cl))
-    assert states[0] == states[1]
-    assert ledgers[0] == ledgers[1]
+        return sel, _selection_state(sel), _ledger_state(cl)
+
+    (_, *reference), (sel, *pruned) = _both(select)
+    assert reference == pruned
     occupied = int(np.count_nonzero(sel.sketch_nonzero))
     if situation == "mostly_empty":
         assert 0 < occupied and grids == [occupied] and 2 * occupied <= g.n

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.cluster.partition import PartitionConfig
+from repro.corpus.families import sized_graph
 from repro.graphs import generators
 from repro.graphs import reference as ref
 from repro.runtime import ClusterConfig, RunConfig, Session
@@ -39,6 +40,16 @@ class TestRegistry:
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_scenario(Scenario("faulty_links", "dup"))
+
+    def test_unknown_family_rejected_at_registration(self):
+        with pytest.raises(ValueError, match="unknown graph family 'moebius'"):
+            register_scenario(Scenario("moebius_strip", "bogus input", family="moebius"))
+        assert "moebius_strip" not in list_scenarios()
+
+    def test_every_sized_family_can_back_a_scenario(self):
+        # Scenarios draw on the same families the CLI and service accept.
+        g = Scenario("ad_hoc_path", "path input", family="path").make_graph(30, seed=2)
+        assert g.n == 30 and g.m == 29 and g.weighted
 
     def test_instances_pass_through(self):
         sc = Scenario("inline", "ad-hoc", family="lollipop")
@@ -81,15 +92,15 @@ class TestRegistry:
 
 
 class TestWorstCaseFamilies:
-    @pytest.mark.parametrize("family", sorted(generators.WORST_CASE_FAMILIES))
+    @pytest.mark.parametrize("family", ("barbell", "disjoint_cliques", "expander_bridge", "lollipop", "star_of_paths"))
     def test_family_builds_at_requested_scale(self, family):
-        g = generators.worst_case_graph(family, 64, seed=3)
+        g = sized_graph(family, 64, 3)
         assert 0 < g.n <= 80
         assert g.m > 0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(KeyError, match="available:"):
-            generators.worst_case_graph("moebius", 64)
+            sized_graph("moebius", 64, 0)
 
     def test_lollipop_shape(self):
         g = generators.lollipop(10, 5)

@@ -8,6 +8,7 @@ import struct
 
 import pytest
 
+from repro.corpus.families import SIZED_FAMILIES
 from repro.graphs import generators
 from repro.service.protocol import (
     MAX_FRAME_BYTES,
@@ -132,6 +133,14 @@ def test_request_rejects_unknown_fields():
 def test_request_validation_rejects(fields):
     with pytest.raises(ProtocolError):
         RunRequest(**fields).validate()
+
+
+def test_request_accepts_every_sized_family():
+    # The service resolves families through the same registry as the CLI,
+    # so the CLI-only families of old are servable too.
+    for family in SIZED_FAMILIES:
+        RunRequest.from_dict({"family": family, "n": 64})
+    assert RunRequest(family="geometric", n=64).build_graph().n == 64
 
 
 def test_cluster_key_axes():
