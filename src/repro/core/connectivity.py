@@ -180,7 +180,7 @@ def connected_components_distributed(
     # labels (DESIGN.md §9).
     parts: PartIndex | None = None
     inc_part: np.ndarray | None = None
-    inc_cross: np.ndarray | None = None
+    inc_live: np.ndarray | None = None
     # Initial labels are the vertex ids, so the pre-loop component count
     # is exactly n (keeps a max_phases=0 call honest without an upfront
     # np.unique pass).
@@ -193,7 +193,7 @@ def connected_components_distributed(
         if parts is None:
             parts = PartIndex.build(labels, cluster.partition)
             inc_part = parts.part_of_vertex[cluster.inc_owner]
-            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+            inc_live = np.flatnonzero(labels[cluster.inc_owner] != labels[cluster.inc_other])
             n_components = parts.n_components
         selection = select_outgoing_edges(
             cluster,
@@ -204,7 +204,7 @@ def connected_components_distributed(
             inc_part=inc_part,
             repetitions=repetitions,
             hash_family=hash_family,
-            inc_cross=inc_cross,
+            inc_live=inc_live,
         )
         _charge_termination_check(cluster, phase)
         if not selection.sketch_nonzero.any():
@@ -269,7 +269,7 @@ def connected_components_distributed(
         )
         parts = None  # labels changed: rebuild the part structure next phase
         inc_part = None
-        inc_cross = None
+        inc_live = None
     fu = np.concatenate(forest_u) if forest_u else np.empty(0, dtype=np.int64)
     fv = np.concatenate(forest_v) if forest_v else np.empty(0, dtype=np.int64)
     fm = np.concatenate(forest_m) if forest_m else np.empty(0, dtype=np.int64)

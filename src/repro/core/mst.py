@@ -154,11 +154,11 @@ def minimum_spanning_tree_distributed(
     phases = 0
     id_bits = bits_for_id(max(n, 2))
     # As in connectivity: retry phases (no merge) keep the labels, so the
-    # part structure, incidence -> part gather, and cross-component mask
+    # part structure, incidence -> part gather, and cross-component index
     # carry over unchanged.
     parts = None
     inc_part = None
-    inc_cross = None
+    inc_live = None
     for phase in range(1, budget + 1):
         phases = phase
         rounds_before = cluster.ledger.total_rounds
@@ -167,7 +167,7 @@ def minimum_spanning_tree_distributed(
         if parts is None:
             parts = PartIndex.build(labels, cluster.partition)
             inc_part = parts.part_of_vertex[cluster.inc_owner]
-            inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+            inc_live = np.flatnonzero(labels[cluster.inc_owner] != labels[cluster.inc_other])
         c = parts.n_components
         bound = np.full(c, np.inf, dtype=np.float64)
         best_slot = np.full(c, -1, dtype=np.int64)
@@ -181,6 +181,9 @@ def minimum_spanning_tree_distributed(
         any_outgoing = False  # did any component's unrestricted sketch exist?
         last_proxy = None
         iterations = 0
+        # Bounds only fall within a phase, so each iteration's kept
+        # incidences are the next one's live set (outgoing, proof point 4).
+        live = inc_live
         for t in range(elim_cap):
             iterations = t + 1
             selection = select_outgoing_edges(
@@ -198,8 +201,9 @@ def minimum_spanning_tree_distributed(
                 # incidence, whatever the sign of its weight.
                 weight_bound_per_comp=np.where(active, bound, -np.inf),
                 want_weights=True,
-                inc_cross=inc_cross,
+                inc_live=live,
             )
+            live = selection.inc_kept
             last_proxy = selection.comp_proxy
             if t == 0:
                 # The unrestricted (bound = inf) sketches tell whether any
@@ -287,7 +291,7 @@ def minimum_spanning_tree_distributed(
         labels = merge.labels
         parts = None  # labels changed: rebuild the part structure next phase
         inc_part = None
-        inc_cross = None
+        inc_live = None
         stats.append(
             MSTPhaseStats(
                 phase=phase,

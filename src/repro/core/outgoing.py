@@ -71,6 +71,10 @@ class OutgoingSelection:
         ``int64[C]``; current label of the foreign endpoint's component.
     edge_weight:
         ``float64[C]``; sampled edge weight (NaN unless requested & found).
+    inc_kept:
+        ``int64``; increasing indices of the incidences the step sketched
+        (cross-component and lighter than the bound), or None where no
+        sketch step produced the selection.
     """
 
     parts: PartIndex
@@ -82,6 +86,7 @@ class OutgoingSelection:
     foreign_vertex: np.ndarray
     neighbor_label: np.ndarray
     edge_weight: np.ndarray
+    inc_kept: np.ndarray | None = None
 
 
 def select_outgoing_edges(
@@ -98,7 +103,7 @@ def select_outgoing_edges(
     hash_family: str = "prf",
     weight_bound_per_comp: np.ndarray | None = None,
     want_weights: bool = False,
-    inc_cross: np.ndarray | None = None,
+    inc_live: np.ndarray | None = None,
 ) -> OutgoingSelection:
     """Run one sketch-sample-resolve step; charges the cluster ledger.
 
@@ -130,11 +135,14 @@ def select_outgoing_edges(
         incidence of the component.
     want_weights:
         If True, label-query replies carry the edge weight (64 extra bits).
-    inc_cross:
-        Pre-computed ``labels[cluster.inc_owner] !=
-        labels[cluster.inc_other]`` (must belong to ``labels``); recomputed
-        if omitted.  Amortizable across iterations exactly like
-        ``inc_part``.
+    inc_live:
+        Increasing ``int64`` indices of the incidences that may still be
+        sketched: the cross-component ones (``labels[cluster.inc_owner] !=
+        labels[cluster.inc_other]``, computed if omitted) or any subset
+        that still holds every incidence this step keeps.  Connectivity
+        computes it once per label change; MST elimination passes the
+        previous iteration's ``inc_kept``, because within a phase every
+        component's bound only falls, so the kept set only shrinks.
     """
     n, k = cluster.n, cluster.k
     if parts is None:
@@ -165,9 +173,9 @@ def select_outgoing_edges(
 
     # 3. Proxy-side combination and sampling (Lemma 2).
     c = parts.n_components
-    nonzero, sample = _sketch_components(
-        spec, cluster, labels, parts, inc_part, bound, inc_cross
-    )
+    if inc_live is None:
+        inc_live = np.flatnonzero(labels[cluster.inc_owner] != labels[cluster.inc_other])
+    nonzero, sample, kept = _sketch_components(spec, cluster, parts, inc_part, bound, inc_live)
     found = sample.found
 
     internal = np.full(c, -1, dtype=np.int64)
@@ -209,27 +217,29 @@ def select_outgoing_edges(
         foreign_vertex=foreign,
         neighbor_label=neighbor_label,
         edge_weight=weight,
+        inc_kept=kept,
     )
 
 
 def _sketch_components(
     spec: SketchSpec,
     cluster: KMachineCluster,
-    labels: np.ndarray,
     parts: PartIndex,
     inc_part: np.ndarray,
     bound: np.ndarray | None,
-    inc_cross: np.ndarray | None,
-) -> tuple[np.ndarray, SampleResult]:
+    live: np.ndarray,
+) -> tuple[np.ndarray, SampleResult, np.ndarray]:
     """Nonzero mask and sample of every component's sketch (Lemma 2).
 
     The component sketch sums its parts' sketches over the component's
     incidences (those lighter than ``bound``, when given).  Only the live
-    frontier is sketched, grouped directly by component, over only the
-    occupied components under an order-preserving dense relabel; the
-    relabel runs only when it at least halves the grid.  **Exactness
-    proof** — the answers are byte-identical to sketching every incidence
-    per part and summing parts with ``aggregate``:
+    frontier is sketched: the incidences of ``live`` lighter than their
+    component's bound, whose index is returned third.  They are grouped
+    directly by component, over only the occupied components under an
+    order-preserving dense relabel; the relabel runs only when it at
+    least halves the grid.  **Exactness proof** — the answers are
+    byte-identical to sketching every incidence per part and summing
+    parts into components:
 
     1. *Internal pairs cancel.*  An edge ``{u, v}`` with
        ``labels[u] == labels[v]`` appears as two incidences carrying the
@@ -261,6 +271,12 @@ def _sketch_components(
        scattering the answers back gives the same bytes.  When no
        incidence survives at all (the MST's certifying last iteration) no
        context is built.
+    4. *A carried live set loses nothing.*  ``live`` holds every
+       cross-component incidence (point 1), or an earlier iteration's
+       kept index of the same phase.  Its bounds were pointwise at least
+       the current ones (a component's bound only falls to a sampled
+       edge's weight, lighter than the bound it was sampled under, or to
+       ``-inf``), so every incidence kept now was kept then.
 
     Every downstream consumer (nonzero test, sample, label queries) reads
     only these answers, and every ledger charge depends only on the
@@ -269,13 +285,11 @@ def _sketch_components(
     part-level pipeline's.  Pinned against that pipeline, kept as the
     reference oracle, by ``tests/core/test_pruning.py``.
     """
-    if inc_cross is None:
-        inc_cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
-    inc_comp = parts.comp_of_part[inc_part]
-    keep = inc_cross
+    kept = live
+    comp = parts.comp_of_part[inc_part[live]]
     if bound is not None:
-        keep = keep & (cluster.inc_weight < bound[inc_comp])
-    comp = inc_comp[keep]
+        keep = cluster.inc_weight[live] < bound[comp]
+        kept, comp = live[keep], comp[keep]
     n_comp = parts.n_components
     nonzero = np.zeros(n_comp, dtype=bool)
     out = SampleResult(
@@ -284,14 +298,14 @@ def _sketch_components(
         np.zeros(n_comp, dtype=np.int64),
     )
     if comp.size == 0:
-        return nonzero, out
-    ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
+        return nonzero, out, kept
+    ctx = SketchContext(spec, cluster.inc_slot[kept], cluster.inc_sign[kept])
     occupied = np.zeros(n_comp, dtype=bool)
     occupied[comp] = True
     n_occ = int(np.count_nonzero(occupied))
     if 2 * n_occ > n_comp:
         bundle = ctx.group_sums(comp, n_comp)
-        return bundle.nonzero_mask(), bundle.sample()
+        return bundle.nonzero_mask(), bundle.sample(), kept
     dense = np.cumsum(occupied) - 1  # component -> rank among occupied ones
     bundle = ctx.group_sums(dense[comp], n_occ)
     ids = np.flatnonzero(occupied)
@@ -300,7 +314,7 @@ def _sketch_components(
     out.found[ids] = sample.found
     out.slots[ids] = sample.slots
     out.signs[ids] = sample.signs
-    return nonzero, out
+    return nonzero, out, kept
 
 
 def _edge_weights(cluster: KMachineCluster, us: np.ndarray, vs: np.ndarray) -> np.ndarray:

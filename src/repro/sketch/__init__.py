@@ -8,8 +8,9 @@ component find an outgoing edge with O(polylog n) bits of communication:
   keyed-PRF fast path.
 * :mod:`repro.sketch.edgespace` — the incidence-vector slot encoding and
   its +-1 sign convention.
-* :mod:`repro.sketch.l0` — sketch construction, linearity (add/aggregate),
-  one-sparse recovery with fingerprint verification, zero-vector detection.
+* :mod:`repro.sketch.l0` — sketch construction, one-sparse recovery with
+  fingerprint verification and zero-vector detection, evaluated one
+  repetition at a time for the groups still unanswered.
 """
 
 from repro.sketch.edgespace import decode_slot, encode_slot, incident_slots_and_signs

@@ -1,9 +1,9 @@
 """Exact segment-reduction kernels for the sketch hot path.
 
-The sketch scatter-adds (``SketchContext.group_sums``,
-``SketchBundle.aggregate``) were originally written with ``np.add.at`` —
-the slowest scatter primitive NumPy offers (an unbuffered, per-element
-inner loop).  This module provides two drop-in exact replacements:
+The sketch scatter-adds (the bins of a ``SketchContext`` pass) were
+originally written with ``np.add.at`` — the slowest scatter primitive
+NumPy offers (an unbuffered, per-element inner loop).  This module
+provides the drop-in exact replacement:
 
 * :func:`segment_sum` — ``np.bincount`` with float64 weights.  A float64
   accumulator holds every integer of magnitude ``<= 2^53`` exactly, so a
@@ -19,23 +19,20 @@ inner loop).  This module provides two drop-in exact replacements:
   ``np.add.at`` automatically, so exactness never depends on the caller
   checking bounds.
 
-* :func:`group_rows` — sort + ``np.add.reduceat`` over leading-axis rows.
-  Used where the summed values are themselves unbounded (aggregating
-  already-accumulated sketch rows), because reduceat accumulates in int64
-  directly: it is exact wherever ``np.add.at`` was, with vectorized row
-  arithmetic instead of a per-row scatter.
-
-Both kernels return *identical integers* to the ``np.add.at`` reference
-(pinned by the hypothesis suite in ``tests/sketch/test_kernels.py``),
-which is what keeps the perf gate's byte-exact metric contract intact
-across the vectorization (DESIGN.md §9).
+It returns *identical integers* to the ``np.add.at`` reference (pinned by
+the hypothesis suite in ``tests/sketch/test_kernels.py``), which is what
+keeps the perf gate's byte-exact metric contract intact across the
+vectorization (DESIGN.md §9).  Production never regroups accumulated
+sketch rows (it sketches at component granularity directly), so the sort
++ ``reduceat`` row aggregation lives on only in the tests' dense
+reference (``tests/dense_sketch.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["F64_EXACT", "group_rows", "segment_sum"]
+__all__ = ["F64_EXACT", "segment_sum"]
 
 #: Largest integer magnitude float64 represents exactly (2^53).
 F64_EXACT = 1 << 53
@@ -65,7 +62,7 @@ def segment_sum(
         exactness check cheap.
     max_count:
         Optional bound on the number of contributions any single bin can
-        receive (defaults to ``weights.size``).  ``group_sums`` passes the
+        receive (defaults to ``weights.size``).  A sketch pass gives the
         per-repetition incidence count here: bins are (group, repetition,
         depth) cells, so contributions never cross repetitions.
     """
@@ -77,23 +74,3 @@ def segment_sum(
     acc = np.zeros(size, dtype=np.int64)
     np.add.at(acc, idx, weights)
     return acc
-
-
-def group_rows(rows: np.ndarray, group_of_row: np.ndarray, n_out: int) -> np.ndarray:
-    """Sum leading-axis ``rows`` into ``n_out`` groups (exact int64).
-
-    ``out[g] = sum(rows[group_of_row == g], axis=0)``; groups nobody maps
-    to stay zero.  Equivalent to ``np.add.at(out, group_of_row, rows)``
-    with int64 arithmetic, via a stable argsort and one ``reduceat`` pass.
-    """
-    out = np.zeros((n_out,) + rows.shape[1:], dtype=np.int64)
-    if group_of_row.size == 0:
-        return out
-    order = np.argsort(group_of_row, kind="stable")
-    sorted_groups = group_of_row[order]
-    boundary = np.empty(sorted_groups.size, dtype=bool)
-    boundary[0] = True
-    np.not_equal(sorted_groups[1:], sorted_groups[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    out[sorted_groups[starts]] = np.add.reduceat(rows[order], starts, axis=0)
-    return out

@@ -15,7 +15,10 @@ triple
 The triples are **linear** in the underlying vector, so the sketch of a
 component is the entrywise sum of the sketches of its parts — the property
 Lemma 2 exploits to combine part sketches at a proxy machine without
-looking at any edges.
+looking at any edges.  The simulator uses linearity once, to sketch each
+component's incidences directly (:mod:`repro.core.outgoing`); the explicit
+part-sum operations, with the dense queries, live on as the tests'
+reference (``tests/dense_sketch.py``).
 
 A level holding exactly one surviving slot (coefficient ``+-1``) is
 recoverable: ``c in {-1, +1}`` and ``slot = c * s``; the fingerprint check
@@ -34,28 +37,35 @@ bin and for the 30-bit fingerprint halves fewer than ``2^32``.  Neither
 bound is checked at run time.
 
 Fingerprints are accumulated split into 30-bit halves, ``f === lo +
-hi * 2^30 (mod p)``, and are *kept* that way: :class:`SketchBundle`
-stores the exact signed int64 pair, :meth:`SketchBundle.aggregate` and
-:meth:`SketchBundle.add` sum the halves directly, and the canonical
-mod-p value is formed only at read — level 0 in
-:meth:`SketchBundle.nonzero_mask`, the ``|count| == 1`` candidates in
-:meth:`SketchBundle.sample`, and the materializing
+hi * 2^30 (mod p)``, and are *kept* that way in the bins: the canonical
+mod-p value is formed only at read — level 0 for the nonzero test, the
+``|count| == 1`` candidates for the sample, and the materializing
 :attr:`SketchBundle.fps`.  Reduction mod p commutes with integer sums, so
 reading late yields the bytes eager reduction did (DESIGN.md §9.1).
 
+Lazy repetitions
+----------------
+A query needs, per group, the first repetition whose level-0 fingerprint
+is nonzero and the first holding a verified candidate; repetitions are
+independent, so the ones after both are settled cannot change an answer.
+:meth:`SketchContext._walk` therefore sketches repetition by repetition,
+hashing, powering and scattering only the incidences of groups still
+open, and batches the rest of the walk into one pass once it is small
+(``_BATCH_WORK``).  The dense ``(G, R, L)`` grid is built only when a
+caller reads :attr:`SketchBundle.counts` and its siblings.
+
 Fingerprint powers ``r^slot`` come from a base-``2^w`` digit table
-(:func:`_slot_power_table`) whose shape is chosen from the number of
-slots a call evaluates, so a late, small frontier pays for a few narrow
-rows rather than a table over all of ``[0, n)``.  Every table yields the
-canonical representative of the same field element, so the choice never
-shows in the output bytes.
+(:func:`_slot_power_table`) built per pass for the pass's repetitions,
+its shape chosen from the number of slots the pass evaluates, so a late,
+small frontier pays for a few narrow rows rather than a table over all of
+``[0, n)``.  Every table yields the canonical representative of the same
+field element, so the choice never shows in the output bytes.
 
 The segment reductions run through :mod:`repro.sketch.kernels` —
 ``np.bincount`` on the 30-bit halves (bit-exact in float64 below the 2^53
-horizon, with an automatic ``np.add.at`` fallback above it) and sort +
-``reduceat`` for row aggregation — which return the same integers the
-original ``np.add.at`` scatters produced, only an order of magnitude
-faster (DESIGN.md §9).
+horizon, with an automatic ``np.add.at`` fallback above it) — which
+return the same integers the original ``np.add.at`` scatters produced,
+only an order of magnitude faster (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ import numpy as np
 
 from repro.sketch.edgespace import max_slot_bits
 from repro.sketch.field import MERSENNE_P, addmod, mulmod
-from repro.sketch.kernels import group_rows, segment_sum
+from repro.sketch.kernels import segment_sum
 from repro.sketch.kwise import batch_values
 from repro.util.rng import derive_seed
 
@@ -101,21 +111,6 @@ def _count_levels_above(h: np.ndarray, levels: int) -> np.ndarray:
     # Exact correction: true bitlength is e-1 iff v < 2^(e-1).
     bl -= (v >> (bl - 1).astype(np.uint64)) == 0
     return np.clip(np.int64(62) - bl, 0, levels)
-
-
-def _modp_scatter_sum(values: np.ndarray, signs: np.ndarray, idx: np.ndarray, n_out: int) -> np.ndarray:
-    """Exact ``sum_j signs[j] * values[j] mod p`` grouped by ``idx``.
-
-    ``values`` are in ``[0, p)``; a direct uint64 scatter would wrap mod
-    2^64 (not mod p) once more than 8 values land in a bin.  Splitting
-    each value into 30-bit halves keeps both signed accumulators exact
-    (see :mod:`repro.sketch.kernels` for the float64 horizon and the
-    int64 fallback).
-    """
-    v = values.astype(np.int64)
-    acc_lo = segment_sum((v & _LOW30) * signs, idx, n_out, max_abs=_MAX_LO)
-    acc_hi = segment_sum((v >> np.int64(30)) * signs, idx, n_out, max_abs=_MAX_HI_FP)
-    return _combine_halves(acc_lo, acc_hi)
 
 
 def _combine_halves(acc_lo: np.ndarray, acc_hi: np.ndarray) -> np.ndarray:
@@ -201,98 +196,60 @@ class SketchSpec:
 
 
 class SketchBundle:
-    """Sketches of ``G`` groups: triples of shape ``(G, R, L)``.
+    """The sketches of ``G`` groups over one context, answered lazily.
 
-    Supports the two linear operations the algorithms need: entrywise
-    addition (:meth:`add`) and regrouping (:meth:`aggregate`), plus the
-    query operations :meth:`sample` and :meth:`nonzero_mask`.
+    :meth:`SketchContext.group_sums` binds a context to a grouping and
+    scatters nothing.  :meth:`nonzero_mask` and :meth:`sample` read one
+    walk over the repetitions (:meth:`SketchContext._walk`), which
+    sketches a repetition only for the groups it can still answer (module
+    docstring, "Lazy repetitions").  The walk runs once per bundle, and
+    both queries return its arrays: the same objects on every call.
 
-    Fingerprints live unreduced as the exact signed int64 halves
-    ``fps_lo``/``fps_hi`` (``f === fps_lo + fps_hi * 2^30 mod p``); only
-    the bins a query reads are reduced (module docstring, "Exactness").
-    ``SketchBundle(spec, counts, sums, fps)`` takes canonical ``fps`` in
-    ``[0, p)`` and splits them into such a pair.  ``powers`` is the
-    fingerprint power table of the context that built the bundle
-    (:func:`_slot_power_table`); a hand-built bundle has ``None`` and
-    :meth:`sample` builds a table sized to its candidates instead.
+    ``counts``, ``sums``, ``fps_lo``, ``fps_hi`` and ``fps`` are the dense
+    ``(G, R, L)`` grid over every repetition and level, built on first
+    access and cached.  No query reads it: it stays for callers that count
+    bins from the outside (the benchmark's span counters read ``counts``
+    and ``fps``) and is the grid the tests' dense reference queries run on.
     """
 
-    def __init__(
-        self, spec: SketchSpec, counts: np.ndarray, sums: np.ndarray, fps: np.ndarray
-    ) -> None:
-        f = np.asarray(fps, dtype=np.uint64).astype(np.int64)  # < p < 2^63
-        self._set(spec, counts, sums, f & _LOW30, f >> np.int64(30), None)
+    def __init__(self, ctx: "SketchContext", group_idx: np.ndarray, n_groups: int) -> None:
+        self.spec = ctx.spec
+        self.n_groups = n_groups
+        self._ctx = ctx
+        self._groups = group_idx
+        self._answers: tuple[np.ndarray, SampleResult] | None = None
+        self._grid: tuple[np.ndarray, ...] | None = None
 
-    @classmethod
-    def _from_halves(
-        cls,
-        spec: SketchSpec,
-        counts: np.ndarray,
-        sums: np.ndarray,
-        fps_lo: np.ndarray,
-        fps_hi: np.ndarray,
-        powers: np.ndarray | None,
-    ) -> "SketchBundle":
-        bundle = cls.__new__(cls)
-        bundle._set(spec, counts, sums, fps_lo, fps_hi, powers)
-        return bundle
+    def _dense(self) -> tuple[np.ndarray, ...]:
+        if self._grid is None:
+            reps, levels = self.spec.repetitions, self.spec.levels
+            self._grid = self._ctx._bins(range(reps), None, self._groups, self.n_groups, levels)
+        return self._grid
 
-    def _set(self, spec, counts, sums, fps_lo, fps_hi, powers) -> None:
-        self.spec = spec
-        self.counts = counts  # int64 (G, R, L)
-        self.sums = sums  # int64 (G, R, L), exact signed slot-id sums
-        self.fps_lo = fps_lo  # int64 (G, R, L), exact low-half accumulators
-        self.fps_hi = fps_hi  # int64 (G, R, L), exact high-half accumulators
-        self.powers = powers  # uint64 (D*R, 2^w) power table, or None
+    @property
+    def counts(self) -> np.ndarray:
+        """Signed survivor counts, int64 ``(G, R, L)``."""
+        return self._dense()[0]
+
+    @property
+    def sums(self) -> np.ndarray:
+        """Exact signed slot-id sums, int64 ``(G, R, L)``."""
+        return self._dense()[1]
+
+    @property
+    def fps_lo(self) -> np.ndarray:
+        """Exact low-half fingerprint accumulators, int64 ``(G, R, L)``."""
+        return self._dense()[2]
+
+    @property
+    def fps_hi(self) -> np.ndarray:
+        """Exact high-half fingerprint accumulators, int64 ``(G, R, L)``."""
+        return self._dense()[3]
 
     @property
     def fps(self) -> np.ndarray:
         """Canonical fingerprints, uint64 ``(G, R, L)`` in ``[0, p)``."""
         return _combine_halves(self.fps_lo, self.fps_hi)
-
-    @property
-    def n_groups(self) -> int:
-        """Number of sketched groups."""
-        return int(self.counts.shape[0])
-
-    def add(self, other: "SketchBundle") -> "SketchBundle":
-        """Entrywise sum (sketch linearity; groups must align)."""
-        if other.spec != self.spec:
-            raise ValueError("cannot add sketches with different specs")
-        if other.counts.shape != self.counts.shape:
-            raise ValueError("group shapes differ")
-        return SketchBundle._from_halves(
-            self.spec,
-            self.counts + other.counts,
-            self.sums + other.sums,
-            self.fps_lo + other.fps_lo,
-            self.fps_hi + other.fps_hi,
-            self.powers if self.powers is not None else other.powers,
-        )
-
-    def aggregate(self, group_map: np.ndarray, n_out: int) -> "SketchBundle":
-        """Sum rows into ``n_out`` new groups: row g -> group_map[g].
-
-        This is the proxy-side combination of Lemma 2: summing the part
-        sketches of a component yields the component sketch.
-        """
-        gm = np.asarray(group_map, dtype=np.int64)
-        if gm.shape != (self.n_groups,):
-            raise ValueError("group_map must have one entry per group")
-        _check_group_ids(gm, n_out, "group_map")
-        # Every field is an exact int64 accumulator (fingerprints as their
-        # unreduced halves), so regrouping is plain integer row sums: sort
-        # + reduceat over the leading axis (np.add.at's integers, vectorized).
-        return SketchBundle._from_halves(
-            self.spec,
-            group_rows(self.counts, gm, n_out),
-            group_rows(self.sums, gm, n_out),
-            group_rows(self.fps_lo, gm, n_out),
-            group_rows(self.fps_hi, gm, n_out),
-            self.powers,
-        )
-
-    # -- queries -----------------------------------------------------------
 
     def nonzero_mask(self) -> np.ndarray:
         """Per group: True if the sketched vector is (w.h.p.) nonzero.
@@ -302,57 +259,21 @@ class SketchBundle:
         'zero' requires all R level-0 fingerprints of a nonzero polynomial
         to vanish simultaneously.
         """
-        level0 = _combine_halves(self.fps_lo[:, :, 0], self.fps_hi[:, :, 0])
-        return np.any(level0 != 0, axis=1)
+        return self._walk()[0]
 
     def sample(self) -> "SampleResult":
         """Recover one surviving slot per group where possible.
 
-        Scans all (repetition, level) cells for verified one-sparse
-        recoveries and returns, per group, the recovery from the deepest
-        valid level of the first succeeding repetition (deep levels have
-        the fewest survivors, giving the closest-to-uniform choice).
+        Per group, the verified one-sparse recovery from the deepest valid
+        level of the first succeeding repetition (deep levels have the
+        fewest survivors, giving the closest-to-uniform choice).
         """
-        g, r, l = self.counts.shape
-        c = self.counts
-        found = np.zeros(g, dtype=bool)
-        out_slot = np.full(g, -1, dtype=np.int64)
-        out_sign = np.zeros(g, dtype=np.int64)
-        gi, ri, li = np.nonzero((c == 1) | (c == -1))
-        signs = c[gi, ri, li]
-        slots = self.sums[gi, ri, li] * signs  # slot = c * s on candidate cells
-        n2 = np.int64(self.spec.n) * np.int64(self.spec.n)
-        inside = np.flatnonzero((slots >= 0) & (slots < n2))
-        gi, ri, li, slots, signs = (a[inside] for a in (gi, ri, li, slots, signs))
-        if gi.size == 0:
-            return SampleResult(found, out_slot, out_sign)
-        slots = slots.astype(np.uint64)
-        # Verify every candidate in one batch: reduce just its fingerprint
-        # bin, and read r^slot from the context's power table (a bundle
-        # without one builds a table sized to its candidates).
-        fps = _combine_halves(self.fps_lo[gi, ri, li], self.fps_hi[gi, ri, li])
-        powers = self.powers
-        if powers is None:
-            powers = _slot_power_table(self.spec, gi.size)
-        expected = _slot_powers(self.spec, powers, ri, slots)
-        neg = signs < 0
-        exp_signed = expected.copy()
-        exp_signed[neg] = (_P - expected[neg]) % _P
-        ok = fps == exp_signed
-        if not ok.any():
-            return SampleResult(found, out_slot, out_sign)
-        gi, ri, li, slots, signs = gi[ok], ri[ok], li[ok], slots[ok], signs[ok]
-        # Order candidates: repetition ascending, level descending; take the
-        # first per group.
-        order = np.lexsort(((l - 1 - li), ri, gi))
-        gi_o = gi[order]
-        first = np.ones(gi_o.size, dtype=bool)
-        first[1:] = gi_o[1:] != gi_o[:-1]
-        pick = order[first]
-        found[gi[pick]] = True
-        out_slot[gi[pick]] = slots[pick].astype(np.int64)
-        out_sign[gi[pick]] = signs[pick]
-        return SampleResult(found, out_slot, out_sign)
+        return self._walk()[1]
+
+    def _walk(self) -> tuple[np.ndarray, "SampleResult"]:
+        if self._answers is None:
+            self._answers = self._ctx._walk(self._groups, self.n_groups)
+        return self._answers
 
 
 def _check_group_ids(ids: np.ndarray, n: int, name: str) -> None:
@@ -384,26 +305,30 @@ class SampleResult:
     signs: np.ndarray
 
 
+#: Work (open incidences x repetitions left) at or below which the walk
+#: sketches every remaining repetition in one pass: below it, the fixed
+#: cost of a pass outweighs the incidences an early stop would skip.
+_BATCH_WORK = 1 << 14
+
+
 class SketchContext:
-    """Per-phase randomness evaluated once over a fixed incidence list.
+    """Per-phase sketch randomness over a fixed incidence list.
 
     The graph's incidence list (slot, sign) never changes; only the group
     assignment (component labels) and the sketch randomness (per phase) do.
-    ``SketchContext`` therefore precomputes, per repetition, each
-    incidence's sampling level and fingerprint contribution, after which
-    *any* grouping can be sketched with three scatter-adds
-    (:meth:`group_sums`).  This keeps per-phase work O(R * E) with small
-    constants — the optimization that makes large sweeps feasible.
+    Construction only validates the list and detects mirrored halves.  Each
+    incidence's per-repetition sampling depth and fingerprint power
+    (:meth:`_tables`) are evaluated by the queries, and only for the
+    repetitions that can still change an answer (:meth:`_walk`).
 
-    In model terms each machine computes this context restricted to its own
-    incidences; because the computation is pointwise over incidences, the
-    global precomputation used here is exactly the union of the local ones
+    In model terms each machine computes this randomness restricted to its
+    own incidences; because the computation is pointwise over incidences,
+    the global evaluation used here is exactly the union of the local ones
     (no information crosses machines).
 
-    The context's fingerprint power table is sized to the slots it
-    evaluates (:func:`_slot_power_table`), and :meth:`group_sums` hands it
-    to every bundle it builds, so :meth:`SketchBundle.sample` verifies
-    candidates from the same table.
+    Each pass of the walk builds a fingerprint power table for its own
+    repetitions, sized to the slots it evaluates (:func:`_slot_power_table`),
+    and checks its candidates against the same table.
     """
 
     def __init__(self, spec: SketchSpec, slots: np.ndarray, signs: np.ndarray) -> None:
@@ -412,110 +337,219 @@ class SketchContext:
         self.signs = np.asarray(signs, dtype=np.int64)
         if self.slots.shape != self.signs.shape or self.slots.ndim != 1:
             raise ValueError("slots and signs must be 1-D of equal length")
-        r, l = spec.repetitions, spec.levels
-        bits = max_slot_bits(spec.n)
         # Per-slot work (hash, depth, fingerprint power) depends only on
         # the slot id.  Clusters build incidence lists as two mirrored
         # halves — concat(u, v) owners against concat(v, u) others — so
         # the slot array is typically the same block twice; detecting that
-        # (one vectorized compare) halves the whole construction, and the
-        # results are expanded back to per-incidence arrays unchanged.
+        # (one vectorized compare) halves every pass over all incidences,
+        # and the results are expanded back to per-incidence arrays.
         e = self.slots.size
         half = e // 2
-        mirrored = e >= 2 and e % 2 == 0 and np.array_equal(self.slots[:half], self.slots[half:])
-        eval_slots = self.slots[:half] if mirrored else self.slots
-        # All repetitions batch into one (R, E) hash evaluation: per-rep
-        # randomness (coefficients / PRF keys) is derived exactly as the
-        # per-rep loop did, only the field arithmetic is 2-D.
-        seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in range(r)]
-        self.powers = _slot_power_table(spec, eval_slots.size)
-        reps = np.arange(r, dtype=np.int64)[:, None]
-        # Descending thresholds T[l] = p >> l; depth = (#thresholds > h) - 1
-        # with #{j < L: h < p >> j} = clip(61 - floor(log2(h + 1)), 0, L)
-        # (see _count_levels_above) — a handful of passes independent of
-        # L, replacing the per-level searchsorted of the per-repetition loop.
-        # The (R, E) hash values are freed before the (R, E) fingerprint
-        # powers are built, so the two never coexist in memory.
-        h = batch_values(seeds, bits + 4, spec.hash_family, eval_slots)
-        depths = np.clip(_count_levels_above(h, l) - 1, 0, l - 1)
-        del h
-        fp = _slot_powers(spec, self.powers, reps, eval_slots[None, :])
-        if mirrored:
-            depths = np.concatenate([depths, depths], axis=1)
-            fp = np.concatenate([fp, fp], axis=1)
-        self.depths = depths
-        self.fp_contrib = fp
+        self._mirrored = (
+            e >= 2 and e % 2 == 0 and np.array_equal(self.slots[:half], self.slots[half:])
+        )
+        self._eval_slots = self.slots[:half] if self._mirrored else self.slots
 
     @property
     def n_incidences(self) -> int:
         """Number of (slot, sign) incidences in the context."""
         return int(self.slots.size)
 
-    def group_sums(
-        self,
-        group_idx: np.ndarray,
-        n_groups: int,
-        mask: np.ndarray | None = None,
-    ) -> SketchBundle:
+    def group_sums(self, group_idx: np.ndarray, n_groups: int) -> SketchBundle:
         """Sketch every group: incidence i contributes to group ``group_idx[i]``.
 
-        ``mask`` (optional) drops incidences — used by the MST edge
-        elimination, which zeroes out slots whose edge weight exceeds the
-        current threshold (Section 3.1).
+        The group ids are checked here; the bundle scatters nothing until
+        a query reads it.
         """
         gi = np.asarray(group_idx, dtype=np.int64)
         if gi.shape != self.slots.shape:
             raise ValueError("group_idx must have one entry per incidence")
         _check_group_ids(gi, n_groups, "group_idx")
-        r, l = self.spec.repetitions, self.spec.levels
-        if mask is None:
-            g_sel, sign_sel, slots_sel = gi, self.signs, self.slots
-            d, f = self.depths, self.fp_contrib
-        else:
-            sel = np.asarray(mask, dtype=bool)
-            g_sel, sign_sel, slots_sel = gi[sel], self.signs[sel], self.slots[sel]
-            d, f = self.depths[:, sel], self.fp_contrib[:, sel]
+        return SketchBundle(self, gi, n_groups)
+
+    def _tables(
+        self, reps: range, inc: np.ndarray | None, powers: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Depths and fingerprint powers of incidences ``inc`` in repetitions ``reps``.
+
+        ``inc`` indexes the incidence list (``None``: every incidence);
+        ``powers`` is a digit table of ``reps`` (default: one sized to the
+        evaluated slots).  Returns int64 sampling depths in ``[0, L)`` and
+        uint64 powers ``r_rep^slot mod p``, both ``(len(reps), len(inc))``.
+        Every pass of the walk and the dense grid read depths and powers
+        through this one method.
+        """
+        spec = self.spec
+        slots = self._eval_slots if inc is None else self.slots[inc]
+        # The requested repetitions batch into one 2-D hash evaluation;
+        # per-repetition randomness (coefficients / PRF keys) is derived
+        # from (seed, rep) alone, so a repetition's values never depend on
+        # which others share the pass.
+        seeds = [derive_seed(spec.seed, 0x1E, rep) for rep in reps]
+        h = batch_values(seeds, max_slot_bits(spec.n) + 4, spec.hash_family, slots)
+        # Descending thresholds T[l] = p >> l; depth = (#thresholds > h) - 1
+        # (see _count_levels_above) — a handful of passes independent of L.
+        # The hash values are freed before the powers are built, so the
+        # two never coexist in memory.
+        depths = np.clip(_count_levels_above(h, spec.levels) - 1, 0, spec.levels - 1)
+        del h
+        if powers is None:
+            powers = _slot_power_table(spec, slots.size, reps)
+        rows = np.arange(len(reps), dtype=np.int64)[:, None]
+        fp = _slot_powers(powers, rows, slots[None, :])
+        if inc is None and self._mirrored:
+            depths = np.concatenate([depths, depths], axis=1)
+            fp = np.concatenate([fp, fp], axis=1)
+        return depths, fp
+
+    def _bins(
+        self,
+        reps: range,
+        inc: np.ndarray | None,
+        groups: np.ndarray,
+        n_groups: int,
+        levels: int | None = None,
+        powers: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Suffix-summed ``(group, repetition, level)`` bins of one pass.
+
+        ``groups[j]`` is the group of incidence ``inc[j]`` (``inc=None``:
+        of incidence j).  Returns int64 counts, id-sums and the two
+        fingerprint-half accumulators, each ``(n_groups, len(reps),
+        levels)``.  ``levels=None`` cuts the level axis at the pass's
+        deepest incidence: every bin above it is zero, so no query misses
+        it (a zero count is never a candidate).  ``powers`` goes to
+        :meth:`_tables`.
+        """
+        d, f = self._tables(reps, inc, powers)
+        r, e = d.shape
+        l = levels if levels is not None else int(d.max(initial=0)) + 1
+        signs = self.signs if inc is None else self.signs[inc]
+        slots = self.slots if inc is None else self.slots[inc]
         # Incidence at depth d lives in levels 0..d; accumulate into the
-        # flat (group, repetition, depth) bin — all repetitions at once —
-        # then suffix-sum over the level axis.  Bins never mix repetitions,
-        # so each receives at most e_sel incidences (the exactness bound
-        # the bincount kernel checks against).
-        e_sel = g_sel.size
+        # flat (group, repetition, depth) bin — all of the pass's
+        # repetitions at once — then suffix-sum over the level axis.  Bins
+        # never mix repetitions, so each receives at most e incidences
+        # (the exactness bound the bincount kernel checks against).
         size = n_groups * r * l
         shape = (n_groups, r, l)
         flat = (
-            (g_sel[None, :] * np.int64(r) + np.arange(r, dtype=np.int64)[:, None]) * np.int64(l)
+            (groups[None, :] * np.int64(r) + np.arange(r, dtype=np.int64)[:, None]) * np.int64(l)
             + d
         ).ravel()
+        del d
 
         def scatter(weights: np.ndarray, max_abs: int) -> np.ndarray:
-            tiled = np.broadcast_to(weights, (r, e_sel)).ravel() if weights.ndim == 1 else weights.ravel()
-            return segment_sum(tiled, flat, size, max_abs=max_abs, max_count=e_sel).reshape(shape)
+            tiled = np.broadcast_to(weights, (r, e)).ravel() if weights.ndim == 1 else weights.ravel()
+            acc = segment_sum(tiled, flat, size, max_abs=max_abs, max_count=e).reshape(shape)
+            # Suffix-cumulative over levels: level l = sum over depths >= l.
+            return np.flip(np.cumsum(np.flip(acc, axis=2), axis=2), axis=2)
 
-        counts = scatter(sign_sel, 1)
+        counts = scatter(signs, 1)
         # Id-sums: one scatter with max|w| = n^2 - 1.  Within the float64
         # horizon this is a single exact bincount; far beyond it (huge
         # incidence lists on huge n) the kernel falls back to the int64
         # np.add.at reference — exact either way.
-        slot_signed = slots_sel.view(np.int64) * sign_sel  # slots < n^2 < 2^63: view-safe
-        sums = scatter(slot_signed, max(1, int(self.spec.n) ** 2 - 1))
+        sums = scatter(slots.view(np.int64) * signs, max(1, int(self.spec.n) ** 2 - 1))
         f64 = f.view(np.int64)  # values < p < 2^63: reinterpret, no copy
-        fps_lo = scatter((f64 & _LOW30) * sign_sel[None, :], _MAX_LO)
-        fps_hi = scatter((f64 >> np.int64(30)) * sign_sel[None, :], _MAX_HI_FP)
-        del flat, slot_signed  # free the (R, E) temporaries before the cumsums
-        # Suffix-cumulative over levels: level l = sum over depths >= l.
-        counts = np.flip(np.cumsum(np.flip(counts, axis=2), axis=2), axis=2)
-        sums = np.flip(np.cumsum(np.flip(sums, axis=2), axis=2), axis=2)
-        fps_lo = np.flip(np.cumsum(np.flip(fps_lo, axis=2), axis=2), axis=2)
-        fps_hi = np.flip(np.cumsum(np.flip(fps_hi, axis=2), axis=2), axis=2)
-        return SketchBundle._from_halves(self.spec, counts, sums, fps_lo, fps_hi, self.powers)
+        fps_lo = scatter((f64 & _LOW30) * signs, _MAX_LO)
+        fps_hi = scatter((f64 >> np.int64(30)) * signs, _MAX_HI_FP)
+        return counts, sums, fps_lo, fps_hi
+
+    def _walk(self, groups: np.ndarray, n_groups: int) -> tuple[np.ndarray, SampleResult]:
+        """Nonzero mask and sample of every group, one repetition pass at a time.
+
+        A group is *open* until it is both found and known nonzero.  Pass
+        by pass, in repetition order, only the open groups' incidences are
+        hashed, powered and scattered, with the open groups compacted to
+        dense pass-local ids; once the rest of the walk is small
+        (``_BATCH_WORK``), one pass takes every remaining repetition.  A
+        group's nonzero bit is set by the first repetition whose level-0
+        fingerprint is nonzero, its sample by the first repetition holding
+        a verified candidate — repetitions are independent and read in
+        order, so skipping the ones after both are settled changes no
+        answer (DESIGN.md §9.1).
+        """
+        reps = self.spec.repetitions
+        nonzero = np.zeros(n_groups, dtype=bool)
+        out = SampleResult(
+            np.zeros(n_groups, dtype=bool),
+            np.full(n_groups, -1, dtype=np.int64),
+            np.zeros(n_groups, dtype=np.int64),
+        )
+        inc = None  # incidences of the open groups (None: all of them)
+        ids = np.arange(n_groups)  # group of each pass-local id
+        rep = 0
+        while rep < reps and groups.size:
+            stop = reps if groups.size * (reps - rep) <= _BATCH_WORK else rep + 1
+            pass_reps = range(rep, stop)
+            evals = self._eval_slots.size if inc is None else inc.size
+            powers = _slot_power_table(self.spec, evals, pass_reps)
+            counts, sums, lo, hi = self._bins(pass_reps, inc, groups, ids.size, powers=powers)
+            nonzero[ids] |= np.any(_combine_halves(lo[:, :, 0], hi[:, :, 0]) != 0, axis=1)
+            got = _first_recovery(self.spec, powers, counts, sums, lo, hi)
+            new = got.found & ~out.found[ids]
+            out.found[ids[new]] = True
+            out.slots[ids[new]] = got.slots[new]
+            out.signs[ids[new]] = got.signs[new]
+            del counts, sums, lo, hi, got, powers
+            rep = stop
+            keep = ~(out.found[ids] & nonzero[ids])[groups]
+            if rep == reps or not keep.any():
+                break
+            # Compact: the open groups that still hold an incidence, densely.
+            groups = groups[keep]
+            inc = np.flatnonzero(keep) if inc is None else inc[keep]
+            occupied = np.zeros(ids.size, dtype=bool)
+            occupied[groups] = True
+            groups = (np.cumsum(occupied) - 1)[groups]
+            ids = ids[occupied]
+        return nonzero, out
 
 
-def _fingerprint_bases(spec: SketchSpec) -> np.ndarray:
-    """The R fingerprint bases ``r`` of ``spec`` as ``uint64[R]``."""
-    return np.array(
-        [spec.fingerprint_base(rep) for rep in range(spec.repetitions)], dtype=np.uint64
-    )
+def _first_recovery(
+    spec: SketchSpec,
+    powers: np.ndarray,
+    counts: np.ndarray,
+    sums: np.ndarray,
+    fps_lo: np.ndarray,
+    fps_hi: np.ndarray,
+) -> SampleResult:
+    """Per group of one pass, the recovery :meth:`SketchBundle.sample` wants.
+
+    ``powers`` is the pass's digit table, one row per repetition of its
+    bins.  Every ``|count| == 1`` cell with an in-range slot is a
+    candidate, verified against ``r^slot`` from ``powers`` after reducing
+    just its fingerprint bin; per group the first verified candidate in
+    (repetition ascending, level descending) order wins.
+    """
+    g, _, l = counts.shape
+    found = np.zeros(g, dtype=bool)
+    out_slot = np.full(g, -1, dtype=np.int64)
+    out_sign = np.zeros(g, dtype=np.int64)
+    # Scanning the level axis reversed lists each group's candidates in
+    # preference order.
+    gi, ri, li = np.nonzero(((counts == 1) | (counts == -1))[:, :, ::-1])
+    li = (l - 1) - li
+    signs = counts[gi, ri, li]
+    slots = sums[gi, ri, li] * signs  # slot = c * s on candidate cells
+    n2 = np.int64(spec.n) * np.int64(spec.n)
+    inside = np.flatnonzero((slots >= 0) & (slots < n2))
+    gi, ri, li, slots, signs = (a[inside] for a in (gi, ri, li, slots, signs))
+    if gi.size == 0:
+        return SampleResult(found, out_slot, out_sign)
+    slots = slots.astype(np.uint64)
+    expected = _slot_powers(powers, ri, slots)
+    neg = signs < 0
+    expected[neg] = (_P - expected[neg]) % _P
+    pick = np.flatnonzero(_combine_halves(fps_lo[gi, ri, li], fps_hi[gi, ri, li]) == expected)
+    head = np.ones(pick.size, dtype=bool)
+    head[1:] = gi[pick[1:]] != gi[pick[:-1]]
+    pick = pick[head]
+    found[gi[pick]] = True
+    out_slot[gi[pick]] = slots[pick].astype(np.int64)
+    out_sign[gi[pick]] = signs[pick]
+    return SampleResult(found, out_slot, out_sign)
 
 
 def _digit_count(bits: int, evals: int) -> int:
@@ -530,59 +564,62 @@ def _digit_count(bits: int, evals: int) -> int:
     return min(range(1, bits + 1), key=lambda d: d * (1 << -(-bits // d)) + (d - 1) * evals)
 
 
-def _digit_table(spec: SketchSpec, digits: int) -> np.ndarray:
-    """The ``(D*R, 2^w)`` base-``2^w`` digit table of ``spec``'s bases.
+def _digit_table(spec: SketchSpec, digits: int, reps: range | None = None) -> np.ndarray:
+    """The ``(D, len(reps), 2^w)`` base-``2^w`` digit table of the bases of ``reps``.
 
-    Row ``i*R + rep`` holds ``(r_rep^(2^(w*i)))^j`` for ``j < 2^w``, with
+    ``reps`` defaults to every repetition.  Entry ``[i, j]`` is the row
+    ``(r^(2^(w*i)))^k`` for ``k < 2^w`` of ``r = r_{reps[j]}``, with
     ``w = ceil(max_slot_bits(n) / D)``, so ``r^slot`` is the product of
     one entry per base-``2^w`` digit of ``slot`` (:func:`_slot_powers`).
-    The ``D*R`` row bases come from Python bigint ``pow`` (at that size
-    numpy is pure dispatch overhead); every row then doubles together in
-    one stacked :func:`_power_table` pass.
+    The row bases come from Python bigint ``pow`` (at that size numpy is
+    pure dispatch overhead); every row then doubles together in one
+    stacked :func:`_power_table` pass.
     """
+    reps = range(spec.repetitions) if reps is None else reps
     w = -(-max_slot_bits(spec.n) // digits)
-    bases = [int(b) for b in _fingerprint_bases(spec)]
+    bases = [spec.fingerprint_base(rep) for rep in reps]
     rows = [pow(b, 1 << (w * i), MERSENNE_P) for i in range(digits) for b in bases]
-    return _power_table(np.array(rows, dtype=np.uint64), 1 << w)
+    table = _power_table(np.array(rows, dtype=np.uint64), 1 << w)
+    return table.reshape(digits, len(reps), 1 << w)
 
 
-def _slot_power_table(spec: SketchSpec, evals: int) -> np.ndarray:
-    """The fingerprint power table sized to ``evals`` evaluated slots.
+def _slot_power_table(spec: SketchSpec, evals: int, reps: range | None = None) -> np.ndarray:
+    """The fingerprint power table of ``reps`` sized to ``evals`` slots per repetition.
 
-    The table's build cost tracks the frontier: a late MST elimination
-    call over a few hundred slots gets a few narrow digit rows, a phase-1
-    call over the whole graph gets ``D = 2`` rows of width ``2^w >= n``
-    (exactly ``[r^j; (r^n)^j]`` when n is a power of two).  Every choice
-    yields the canonical representative of the same field element
-    ``r^slot mod p``, so it is invisible in the output bytes.
+    The table's build cost tracks the slots it serves: a late MST
+    elimination call, or a late pass of the repetition walk, over a few
+    hundred slots gets a few narrow digit rows; a phase-1 pass over the
+    whole graph gets ``D = 2`` rows of width ``2^w >= n`` (exactly
+    ``[r^j; (r^n)^j]`` when n is a power of two).  Both the build and the
+    evaluation cost scale with ``len(reps)``, so D depends on ``evals``
+    alone.  Every choice yields the canonical representative of the same
+    field element ``r^slot mod p``, so it is invisible in the output bytes.
     """
-    return _digit_table(spec, _digit_count(max_slot_bits(spec.n), evals))
+    return _digit_table(spec, _digit_count(max_slot_bits(spec.n), evals), reps)
 
 
-def _slot_powers(
-    spec: SketchSpec, powers: np.ndarray, reps: np.ndarray, slots: np.ndarray
-) -> np.ndarray:
-    """``r_rep^slot mod p``, elementwise over broadcast ``reps`` and ``slots``.
+def _slot_powers(powers: np.ndarray, rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``r^slot mod p`` of table repetition ``rows``, elementwise over broadcast ``rows`` and ``slots``.
 
-    ``powers`` is a :func:`_digit_table`: ``r^slot`` is the product over
-    the D base-``2^w`` digits ``s_i`` of ``slot`` of the row-``i`` entries
-    ``(r^(2^(w*i)))^(s_i)`` — D gathers and ``D - 1`` mulmods.
+    ``powers`` is a :func:`_digit_table` and ``rows`` index its second
+    axis: ``r^slot`` is the product over the D base-``2^w`` digits
+    ``s_i`` of ``slot`` of the entries ``(r^(2^(w*i)))^(s_i)`` — D
+    gathers and ``D - 1`` mulmods.
     """
-    r = spec.repetitions
-    width = powers.shape[1]
+    width = powers.shape[2]
     w = np.uint64(width.bit_length() - 1)
     mask = np.uint64(width - 1)
-    out = powers[reps, (slots & mask).astype(np.int64)]
-    for i in range(1, powers.shape[0] // r):
+    out = powers[0, rows, (slots & mask).astype(np.int64)]
+    for i in range(1, powers.shape[0]):
         digit = ((slots >> (w * np.uint64(i))) & mask).astype(np.int64)
-        out = mulmod(out, powers[reps + i * r, digit])
+        out = mulmod(out, powers[i, rows, digit])
     return out
 
 
 def _power_table(bases: np.ndarray, size: int) -> np.ndarray:
     """``table[i, j] = bases[i]^j mod p`` for ``j < size``, by doubling.
 
-    ``bases`` is ``uint64[B]`` (the ``D*R`` digit-row bases of
+    ``bases`` is ``uint64[B]`` (the digit-row bases of
     :func:`_digit_table`); O(B * size) field multiplications across
     O(log size) vectorized passes, all B rows doubling together.  The
     per-doubling step values ``base^(2^k)`` are maintained as Python ints

@@ -155,6 +155,38 @@ class TestEliminationLoop:
             active &= sel.sketch_nonzero
         assert checked > 0  # components did finish before later iterations
 
+    def test_elimination_narrows_the_carried_live_set(self, monkeypatch):
+        # Each phase starts from every cross-component incidence; every
+        # later iteration's live set is the previous iteration's kept
+        # index, and keeps exactly those of its incidences under the bound.
+        g = gen.with_unique_weights(gen.gnm_random(120, 420, seed=6), seed=6)
+        calls = []
+        real_select = mst.select_outgoing_edges
+
+        def spy_select(cluster, shared, labels, phase, **kwargs):
+            sel = real_select(cluster, shared, labels, phase, **kwargs)
+            calls.append((cluster, labels.copy(), phase, kwargs, sel))
+            return sel
+
+        monkeypatch.setattr(mst, "select_outgoing_edges", spy_select)
+        _, res = run(g, seed=6)
+        assert res.certified
+        prev = None
+        narrowed = 0
+        for cluster, labels, phase, kwargs, sel in calls:
+            live = kwargs["inc_live"]
+            if prev is None or prev[0] != phase:
+                cross = labels[cluster.inc_owner] != labels[cluster.inc_other]
+                assert np.array_equal(live, np.flatnonzero(cross))
+            else:
+                assert live is prev[1].inc_kept
+            comp = sel.parts.comp_of_part[sel.parts.part_of_vertex[cluster.inc_owner[live]]]
+            bound = kwargs["weight_bound_per_comp"]
+            assert np.array_equal(sel.inc_kept, live[cluster.inc_weight[live] < bound[comp]])
+            narrowed += int(sel.inc_kept.size < live.size)
+            prev = (phase, sel)
+        assert narrowed > 0
+
 
 @given(
     n=st.integers(min_value=10, max_value=80),

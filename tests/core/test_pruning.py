@@ -4,8 +4,9 @@
 sketching and sketches only occupied components; the docstring of
 :func:`repro.core.outgoing._sketch_components` proves this exact.  The
 reference oracle here is the unpruned pipeline — sketch every incidence
-per part, then ``aggregate`` parts into components — swapped in through
-that one seam, so the pruned and reference paths must agree on every
+per part on the dense grid, then ``aggregate`` parts into components, and
+recompute the kept index from every incidence rather than narrow the MST's
+carried live set — swapped in through that one seam, so the pruned and reference paths must agree on every
 output byte — selections, ledger charges, and full-run envelopes — across
 graph families x seeds x phase depths.  Hypothesis drives the
 family/seed/phase axes; any counterexample it finds is a hole in the
@@ -31,6 +32,8 @@ from repro.graphs.graph import Graph
 from repro.runtime import ClusterConfig, RunConfig, Session
 from repro.sketch.l0 import SketchContext
 
+from dense_sketch import dense
+
 #: name -> graph factory; spans dense random, high-diameter, and
 #: multi-component families (the late-phase shapes differ in each).
 FAMILIES = {
@@ -43,20 +46,24 @@ FAMILIES = {
 }
 
 
-def _part_then_aggregate(spec, cluster, labels, parts, inc_part, bound, inc_cross):
+def _part_then_aggregate(spec, cluster, parts, inc_part, bound, live):
     """The reference oracle: every incidence sketched per part, parts summed.
 
     Same signature and answers as ``outgoing._sketch_components``; no
-    internal-pair filter, no occupied-component relabel.
+    internal-pair filter, no occupied-component relabel, and the kept index
+    is recomputed from all incidences, ignoring the carried ``live`` set.
     """
-    del labels, inc_cross  # the oracle sketches internal pairs too
-    mask = None
+    del live  # the oracle sketches internal pairs too
+    comp = parts.comp_of_part[inc_part]
+    keep = np.ones(comp.size, dtype=bool)
     if bound is not None:
-        mask = cluster.inc_weight < bound[parts.comp_of_part[inc_part]]
-    ctx = SketchContext(spec, cluster.inc_slot, cluster.inc_sign)
-    part_bundle = ctx.group_sums(inc_part, parts.n_parts, mask=mask)
+        keep = cluster.inc_weight < bound[comp]
+    ctx = SketchContext(spec, cluster.inc_slot[keep], cluster.inc_sign[keep])
+    part_bundle = dense(ctx.group_sums(inc_part[keep], parts.n_parts))
     comp_bundle = part_bundle.aggregate(parts.comp_of_part, parts.n_components)
-    return comp_bundle.nonzero_mask(), comp_bundle.sample()
+    other = parts.comp_of_part[parts.part_of_vertex[cluster.inc_other]]
+    kept = np.flatnonzero(keep & (comp != other))
+    return comp_bundle.nonzero_mask(), comp_bundle.sample(), kept
 
 
 @contextlib.contextmanager
@@ -93,6 +100,7 @@ def _selection_state(sel) -> tuple:
         sel.foreign_vertex.tobytes(),
         sel.neighbor_label.tobytes(),
         sel.edge_weight.tobytes(),
+        sel.inc_kept.tobytes(),
     )
 
 
@@ -223,9 +231,9 @@ def test_compaction_matches_reference(situation, seed, monkeypatch):
     grids = []
     real_group_sums = SketchContext.group_sums
 
-    def spy_group_sums(self, group_idx, n_groups, mask=None):
+    def spy_group_sums(self, group_idx, n_groups):
         grids.append(n_groups)
-        return real_group_sums(self, group_idx, n_groups, mask)
+        return real_group_sums(self, group_idx, n_groups)
 
     monkeypatch.setattr(SketchContext, "group_sums", spy_group_sums)
 

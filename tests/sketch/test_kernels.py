@@ -8,7 +8,10 @@ perf gate's byte-exact metric contract rests on these kernels returning
 *identical integers* to the originals, so this suite checks them against
 an ``np.add.at`` reference oracle on adversarial inputs: signed extremes,
 empty masks, single-group configurations, and incidences forced to the
-maximum sampling depth.
+maximum sampling depth.  The oracle checks the dense ``(G, R, L)`` grid a
+lazy bundle materializes on first access (``counts``/``sums``/``fps``,
+read by the benchmark's bin counters), and the tests' dense reference
+``group_rows``/``aggregate``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sketch.field import MERSENNE_P
-from repro.sketch.kernels import F64_EXACT, group_rows, segment_sum
-from repro.sketch.l0 import SketchBundle, SketchContext, SketchSpec, _combine_halves
+from repro.sketch.kernels import F64_EXACT, segment_sum
+from repro.sketch.l0 import SketchContext, SketchSpec, _combine_halves
+
+from dense_sketch import DenseBundle, assert_same_answers, dense, dense_group_sums, group_rows
 
 _LOW30 = np.int64((1 << 30) - 1)
 
@@ -119,11 +124,12 @@ def test_group_rows_single_group_collapse():
 # --------------------------------------------------------------------------
 
 
-def _oracle_group_sums(ctx: SketchContext, gi, n_groups, mask=None) -> SketchBundle:
+def _oracle_group_sums(ctx: SketchContext, gi, n_groups, mask=None) -> DenseBundle:
     """The original np.add.at implementation, kept verbatim as the oracle."""
     gi = np.asarray(gi, dtype=np.int64)
     sel = np.arange(gi.size) if mask is None else np.nonzero(np.asarray(mask, dtype=bool))[0]
     r, l = ctx.spec.repetitions, ctx.spec.levels
+    depths, fp_contrib = ctx._tables(range(r), None)
     counts = np.zeros((n_groups, r, l), dtype=np.int64)
     sums = np.zeros((n_groups, r, l), dtype=np.int64)
     fps_lo = np.zeros((n_groups, r, l), dtype=np.int64)
@@ -132,21 +138,21 @@ def _oracle_group_sums(ctx: SketchContext, gi, n_groups, mask=None) -> SketchBun
     sign_sel = ctx.signs[sel]
     slot_signed = ctx.slots[sel].astype(np.int64) * sign_sel
     for rep in range(r):
-        d = ctx.depths[rep, sel]
+        d = depths[rep, sel]
         flat = (g_sel * np.int64(r) + rep) * np.int64(l) + d
         np.add.at(counts.reshape(-1), flat, sign_sel)
         np.add.at(sums.reshape(-1), flat, slot_signed)
-        f = ctx.fp_contrib[rep, sel].astype(np.int64)
+        f = fp_contrib[rep, sel].astype(np.int64)
         np.add.at(fps_lo.reshape(-1), flat, (f & _LOW30) * sign_sel)
         np.add.at(fps_hi.reshape(-1), flat, (f >> np.int64(30)) * sign_sel)
     counts = np.flip(np.cumsum(np.flip(counts, axis=2), axis=2), axis=2)
     sums = np.flip(np.cumsum(np.flip(sums, axis=2), axis=2), axis=2)
     fps_lo = np.flip(np.cumsum(np.flip(fps_lo, axis=2), axis=2), axis=2)
     fps_hi = np.flip(np.cumsum(np.flip(fps_hi, axis=2), axis=2), axis=2)
-    return SketchBundle(ctx.spec, counts, sums, _combine_halves(fps_lo, fps_hi))
+    return DenseBundle(ctx.spec, counts, sums, _combine_halves(fps_lo, fps_hi))
 
 
-def _oracle_aggregate(bundle: SketchBundle, gm, n_out) -> SketchBundle:
+def _oracle_aggregate(bundle: DenseBundle, gm, n_out) -> DenseBundle:
     gm = np.asarray(gm, dtype=np.int64)
     r, l = bundle.spec.repetitions, bundle.spec.levels
     counts = np.zeros((n_out, r, l), dtype=np.int64)
@@ -158,10 +164,10 @@ def _oracle_aggregate(bundle: SketchBundle, gm, n_out) -> SketchBundle:
     f_i = bundle.fps.astype(np.int64)
     np.add.at(lo, gm, f_i & _LOW30)
     np.add.at(hi, gm, f_i >> np.int64(30))
-    return SketchBundle(bundle.spec, counts, sums, _combine_halves(lo, hi))
+    return DenseBundle(bundle.spec, counts, sums, _combine_halves(lo, hi))
 
 
-def _assert_bundles_equal(a: SketchBundle, b: SketchBundle) -> None:
+def _assert_bundles_equal(a, b) -> None:
     assert np.array_equal(a.counts, b.counts)
     assert np.array_equal(a.sums, b.sums)
     assert np.array_equal(a.fps, b.fps)
@@ -206,9 +212,11 @@ def test_group_sums_and_aggregate_match_oracle(data):
         n, seed=data.draw(st.integers(0, 1 << 30)), repetitions=2, hash_family=family
     )
     ctx = SketchContext(spec, slots, signs)
-    got = ctx.group_sums(gi, n_groups, mask=mask)
+    got = dense_group_sums(ctx, gi, n_groups, mask=mask)
     want = _oracle_group_sums(ctx, gi, n_groups, mask=mask)
     _assert_bundles_equal(got, want)
+    if mask is None:
+        _assert_bundles_equal(ctx.group_sums(gi, n_groups), want)
     n_out = data.draw(st.integers(min_value=1, max_value=4))
     gm = np.array(
         [data.draw(st.integers(0, n_out - 1)) for _ in range(n_groups)], dtype=np.int64
@@ -224,13 +232,21 @@ def test_group_sums_max_depth_incidences():
     signs = np.array([1, -1, -1], dtype=np.int64)
     spec = SketchSpec.for_graph(n, seed=9, repetitions=2)
     ctx = SketchContext(spec, slots, signs)
-    ctx.depths[:] = spec.levels - 1  # adversarial override: max depth everywhere
+    real = ctx._tables
+
+    def deepest(reps, inc, powers=None):  # adversarial override: max depth everywhere
+        depths, fp = real(reps, inc, powers)
+        return np.full_like(depths, spec.levels - 1), fp
+
+    ctx._tables = deepest
     gi = np.zeros(3, dtype=np.int64)
-    _assert_bundles_equal(
-        ctx.group_sums(gi, 1), _oracle_group_sums(ctx, gi, 1)
-    )
+    want = _oracle_group_sums(ctx, gi, 1)
+    _assert_bundles_equal(ctx.group_sums(gi, 1), want)
     # All levels now hold the full (cancelling) sum: counts telescope to -1.
     assert (ctx.group_sums(gi, 1).counts == -1).all()
+    # The lazy walk reads the same override: its answers equal the dense
+    # queries over the forced grid.
+    assert_same_answers(ctx.group_sums(gi, 1), want)
 
 
 def test_group_sums_single_group_equals_aggregate_of_many():
@@ -244,6 +260,6 @@ def test_group_sums_single_group_equals_aggregate_of_many():
     spec = SketchSpec.for_graph(n, seed=4, repetitions=3)
     ctx = SketchContext(spec, slots, signs)
     gi = rng.integers(0, 4, size=20).astype(np.int64)
-    many = ctx.group_sums(gi, 4)
+    many = dense(ctx.group_sums(gi, 4))
     one = ctx.group_sums(np.zeros(20, dtype=np.int64), 1)
     _assert_bundles_equal(many.aggregate(np.zeros(4, dtype=np.int64), 1), one)

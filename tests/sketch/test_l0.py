@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro.sketch.edgespace import decode_slot, incident_slots_and_signs
 from repro.sketch.l0 import SketchContext, SketchSpec
 
+from dense_sketch import dense
+
 
 def sketch_of_vertex_set(n, edges, vertex_set, spec):
     """Sketch of sum of incidence vectors over ``vertex_set`` (test helper)."""
@@ -53,7 +55,7 @@ class TestZeroDetection:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         spec = SketchSpec.for_graph(n, seed=4)
         b = sketch_of_vertex_set(n, edges, set(range(n)), spec)
-        agg = b.aggregate(np.array([0, 0]), 1)
+        agg = dense(b).aggregate(np.array([0, 0]), 1)
         assert not agg.nonzero_mask()[0]
 
     def test_nonzero_vector_detected(self):
@@ -145,7 +147,7 @@ class TestLinearity:
         group = np.where(
             np.isin(owners, [0, 1, 2]), 0, np.where(np.isin(owners, [10, 11, 12]), 1, 2)
         )
-        b3 = ctx.group_sums(group, 3)
+        b3 = dense(ctx.group_sums(group, 3))
         merged = b3.aggregate(np.array([0, 0, 1]), 2)
         # A u B covers all edges' endpoints -> the union sketch is zero.
         assert not merged.nonzero_mask()[0]
@@ -160,7 +162,7 @@ class TestLinearity:
         spec = SketchSpec.for_graph(n, seed=12)
         b1 = sketch_of_vertex_set(n, [(0, 5)], {0}, spec)
         b2 = sketch_of_vertex_set(n, [(1, 6)], {1}, spec)
-        s = b1.add(b2)
+        s = dense(b1).add(dense(b2))
         assert np.array_equal(s.counts, b1.counts + b2.counts)
 
     def test_add_rejects_spec_mismatch(self):
@@ -168,29 +170,30 @@ class TestLinearity:
         b1 = sketch_of_vertex_set(n, [(0, 5)], {0}, SketchSpec.for_graph(n, seed=1))
         b2 = sketch_of_vertex_set(n, [(0, 5)], {0}, SketchSpec.for_graph(n, seed=2))
         with pytest.raises(ValueError):
-            b1.add(b2)
+            dense(b1).add(dense(b2))
 
     def test_aggregate_rejects_bad_map(self):
         n = 12
         b = sketch_of_vertex_set(n, [(0, 5)], {0}, SketchSpec.for_graph(n, seed=1))
         with pytest.raises(ValueError):
-            b.aggregate(np.array([0]), 1)  # needs 2 entries
+            dense(b).aggregate(np.array([0]), 1)  # needs 2 entries
 
 
 class TestMaskRestriction:
     def test_mask_drops_incidences(self):
-        # Used by MST elimination: masked slots vanish from the sketch.
+        # MST elimination sketches only the incidences under the bound:
+        # dropped slots vanish from the sketch.
         n = 16
         spec = SketchSpec.for_graph(n, seed=13)
         owners = np.array([0, 7, 0, 9])
         others = np.array([7, 0, 9, 0])
         slots, signs = incident_slots_and_signs(n, owners, others)
-        ctx = SketchContext(spec, slots, signs)
         group = np.zeros(4, dtype=np.int64)
         group[np.isin(owners, [7, 9])] = 1
-        # Mask out the (0,9) edge entirely.
-        mask = ~np.isin(np.arange(4), [2, 3])
-        b = ctx.group_sums(group, 2, mask=mask)
+        # Drop the (0,9) edge entirely.
+        keep = ~np.isin(np.arange(4), [2, 3])
+        ctx = SketchContext(spec, slots[keep], signs[keep])
+        b = ctx.group_sums(group[keep], 2)
         res = b.sample()
         assert res.found[0]
         lo, hi = decode_slot(n, np.array([res.slots[0]]))

@@ -26,15 +26,17 @@ class TestSpecIdentity:
         spec = SketchSpec.for_graph(n, seed=5)
         ctx1, _ = make_ctx(n, [(0, 5), (3, 9)], spec)
         ctx2, _ = make_ctx(n, [(0, 5), (3, 9)], spec)
-        assert np.array_equal(ctx1.depths, ctx2.depths)
-        assert np.array_equal(ctx1.fp_contrib, ctx2.fp_contrib)
+        reps = range(spec.repetitions)
+        for a, b in zip(ctx1._tables(reps, None), ctx2._tables(reps, None)):
+            assert np.array_equal(a, b)
 
     def test_different_seed_different_randomness(self):
         n = 24
         edges = [(0, 5), (3, 9), (1, 2)]
         ctx1, _ = make_ctx(n, edges, SketchSpec.for_graph(n, seed=5))
         ctx2, _ = make_ctx(n, edges, SketchSpec.for_graph(n, seed=6))
-        assert not np.array_equal(ctx1.fp_contrib, ctx2.fp_contrib)
+        reps = range(ctx1.spec.repetitions)
+        assert not np.array_equal(ctx1._tables(reps, None)[1], ctx2._tables(reps, None)[1])
 
     def test_message_bits_polylog(self):
         small = SketchSpec.for_graph(64, seed=1).message_bits

@@ -10,7 +10,7 @@ engine leans on:
 * **Sample soundness** — any slot a sketch recovers for a vertex set S is
   a *real* edge of the graph crossing S, with the sign identifying the
   internal endpoint.
-* **Field exactness** — ``_modp_scatter_sum`` (the 30-bit-split scatter
+* **Field exactness** — ``modp_scatter_sum`` (the 30-bit-split scatter
   underlying all fingerprint aggregation) agrees with big-int arithmetic,
   and the mulmod/addmod ring identities hold on arbitrary field elements.
 """
@@ -24,7 +24,9 @@ from hypothesis import strategies as st
 from repro.graphs import generators
 from repro.sketch.edgespace import decode_slot, incident_slots_and_signs
 from repro.sketch.field import MERSENNE_P, addmod, mulmod, submod
-from repro.sketch.l0 import SketchContext, SketchSpec, _modp_scatter_sum
+from repro.sketch.l0 import SketchContext, SketchSpec
+
+from dense_sketch import dense, modp_scatter_sum
 
 felt = st.integers(min_value=0, max_value=MERSENNE_P - 1)
 
@@ -49,7 +51,7 @@ def test_modp_scatter_sum_matches_bigint(values, signs, n_bins):
         [signs.draw(st.integers(min_value=0, max_value=n_bins - 1)) for _ in values],
         dtype=np.int64,
     )
-    out = _modp_scatter_sum(vals, sgn, idx, n_bins)
+    out = modp_scatter_sum(vals, sgn, idx, n_bins)
     for b in range(n_bins):
         expected = sum(
             int(s) * int(v) for v, s, i in zip(values, sgn, idx) if i == b
@@ -79,7 +81,7 @@ def test_scatter_sum_of_value_and_negation_is_zero(values):
     vals = np.array(values * 2, dtype=np.uint64)
     sgn = np.array([1] * len(values) + [-1] * len(values), dtype=np.int64)
     idx = np.zeros(vals.size, dtype=np.int64)
-    out = _modp_scatter_sum(vals, sgn, idx, 1)
+    out = modp_scatter_sum(vals, sgn, idx, 1)
     assert int(out[0]) == 0
 
 
@@ -113,7 +115,7 @@ def test_sketch_linearity_group_sum_equals_part_sum(seed, n, split):
     labels = (np.arange(g.n, dtype=np.int64) * 2654435761 + split) % split
     per_vertex = ctx.group_sums(owner, g.n)
     merged_direct = ctx.group_sums(labels[owner], split)
-    merged_via_aggregate = per_vertex.aggregate(labels, split)
+    merged_via_aggregate = dense(per_vertex).aggregate(labels, split)
     assert np.array_equal(merged_direct.counts, merged_via_aggregate.counts)
     assert np.array_equal(merged_direct.sums, merged_via_aggregate.sums)
     assert np.array_equal(merged_direct.fps, merged_via_aggregate.fps)
@@ -139,7 +141,7 @@ def test_sketch_add_equals_concatenated_incidences(seed, n):
     whole = SketchContext(spec, slots, sgns).group_sums(owner, g.n)
     left = SketchContext(spec, slots[:cut], sgns[:cut]).group_sums(owner[:cut], g.n)
     right = SketchContext(spec, slots[cut:], sgns[cut:]).group_sums(owner[cut:], g.n)
-    combined = left.add(right)
+    combined = dense(left).add(dense(right))
     assert np.array_equal(whole.counts, combined.counts)
     assert np.array_equal(whole.sums, combined.sums)
     assert np.array_equal(whole.fps, combined.fps)

@@ -23,6 +23,8 @@ from repro.sketch.l0 import SketchContext, SketchSpec
 from repro.util.bits import ceil_div
 from repro.util.rng import SeedStream
 
+from dense_sketch import dense
+
 
 @given(
     k=st.integers(min_value=2, max_value=8),
@@ -75,7 +77,7 @@ def test_sketch_aggregation_associativity(n_groups, n_edges, seed):
     spec = SketchSpec.for_graph(n, seed=seed, repetitions=2)
     ctx = SketchContext(spec, slots, signs)
     group = (owners % n_groups).astype(np.int64) if owners.size else np.empty(0, np.int64)
-    base = ctx.group_sums(group, n_groups)
+    base = dense(ctx.group_sums(group, n_groups))
     f = rng.integers(0, max(1, n_groups // 2 + 1), n_groups).astype(np.int64)
     n_mid = int(f.max(initial=0)) + 1
     g_map = rng.integers(0, 2, n_mid).astype(np.int64)
